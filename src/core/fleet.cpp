@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -52,10 +51,34 @@ struct WorkUnit {
   std::uint32_t reassigns = 0;      ///< re-hands consumed (capped)
 };
 
+/// A client's pending unit ids in FIFO order: a vector and a read
+/// index, so a client holding one unit costs one small allocation
+/// instead of a deque node and map.  Storage is reused once drained.
+class WorkQueue {
+ public:
+  bool empty() const { return head_ == ids_.size(); }
+  std::size_t size() const { return ids_.size() - head_; }
+  std::uint32_t front() const { return ids_[head_]; }
+  void push_back(std::uint32_t id) { ids_.push_back(id); }
+  void pop_front() {
+    if (++head_ == ids_.size()) clear();
+  }
+  void clear() {
+    ids_.clear();
+    head_ = 0;
+  }
+  auto begin() const { return ids_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  auto end() const { return ids_.end(); }
+
+ private:
+  std::vector<std::uint32_t> ids_;
+  std::size_t head_ = 0;
+};
+
 struct Client {
   std::unique_ptr<sim::ClientCpu> cpu;
   net::Nic nic;
-  std::deque<std::uint32_t> work;  ///< pending unit ids, front = next
+  WorkQueue work;  ///< pending unit ids, front = next
   std::uint32_t current = 0;       ///< unit in flight (valid while active)
   bool active = false;             ///< a unit is issued and unresolved
   double ready_at = 0;        ///< when the current stage completes

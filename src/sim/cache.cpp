@@ -5,64 +5,82 @@
 
 namespace mosaiq::sim {
 
+namespace {
+
+// Line word layout: tag << kTagShift | kValid | kDirty | rank.
+constexpr std::uint64_t kRankMask = 0x3f;  // ranks 0..63: up to 64 ways
+constexpr std::uint64_t kDirty = 0x40;
+constexpr std::uint64_t kValid = 0x80;
+constexpr unsigned kTagShift = 8;
+constexpr std::uint64_t kKeyMask = ~(kDirty | kRankMask);  // tag + valid
+
+}  // namespace
+
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   assert(std::has_single_bit(cfg.line_bytes));
+  assert(cfg.assoc >= 1 && cfg.assoc <= kRankMask + 1);
   assert(cfg.size_bytes % (cfg.line_bytes * cfg.assoc) == 0);
   n_sets_ = cfg.size_bytes / (cfg.line_bytes * cfg.assoc);
   assert(std::has_single_bit(n_sets_));
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
-  lines_.resize(std::size_t{n_sets_} * cfg.assoc);
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(n_sets_));
+  lines_.reserve(std::size_t{n_sets_} * cfg.assoc);
+  for (std::uint32_t s = 0; s < n_sets_; ++s) {
+    for (std::uint32_t w = 0; w < cfg.assoc; ++w) lines_.push_back(w);  // invalid, rank w
+  }
 }
 
 Cache::AccessResult Cache::access(std::uint64_t addr, bool is_write) {
-  ++stats_.accesses;
-  ++tick_;
   const std::uint64_t line_addr = addr >> line_shift_;
-  const std::uint32_t set = static_cast<std::uint32_t>(line_addr & (n_sets_ - 1));
-  const std::uint64_t tag = line_addr >> std::countr_zero(n_sets_);
-  Line* base = &lines_[std::size_t{set} * cfg_.assoc];
+  const std::uint64_t tag = line_addr >> set_shift_;
+  assert(tag >> (64 - kTagShift) == 0);  // simulated addresses sit far below 2^56
+  const std::uint64_t key = (tag << kTagShift) | kValid;
+  const std::uint32_t assoc = cfg_.assoc;
+  std::uint64_t* set = &lines_[(line_addr & (n_sets_ - 1)) * assoc];
 
-  Line* victim = base;
-  for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      ++stats_.hits;
-      l.lru = tick_;
-      l.dirty = l.dirty || is_write;
-      return {true, false};
-    }
-    if (!l.valid) {
-      victim = &l;  // prefer an invalid way
-    } else if (victim->valid && l.lru < victim->lru) {
-      victim = &l;
-    }
+  // One branch-free pass: the hit way, or else the LRU way (rank
+  // assoc-1, which is an invalid way whenever the set has one).
+  std::uint32_t hit_way = assoc;
+  std::uint32_t victim = 0;
+  for (std::uint32_t w = 0; w < assoc; ++w) {
+    const std::uint64_t l = set[w];
+    hit_way = (l & kKeyMask) == key ? w : hit_way;
+    victim = (l & kRankMask) == assoc - 1 ? w : victim;
   }
+  const bool hit = hit_way < assoc;
+  const std::uint32_t way = hit ? hit_way : victim;
+  const std::uint64_t old = set[way];
+  const bool writeback = !hit && (old & kDirty) != 0;  // only valid lines are dirty
+  ++stats_.accesses;
+  stats_.hits += hit;
+  stats_.misses += !hit;
+  stats_.writebacks += writeback;
 
-  ++stats_.misses;
-  const bool writeback = victim->valid && victim->dirty;
-  if (writeback) ++stats_.writebacks;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  victim->dirty = is_write;  // write-allocate
-  return {false, writeback};
+  // Move `way` to the front: every more recent way ages by one.  A miss
+  // takes the victim's rank, assoc-1, so every other way ages.
+  const std::uint64_t rank = old & kRankMask;
+  if (rank != 0) {
+    for (std::uint32_t w = 0; w < assoc; ++w) set[w] += (set[w] & kRankMask) < rank;
+  }
+  const std::uint64_t dirty = is_write ? kDirty : 0;
+  set[way] = hit ? (old & ~kRankMask) | dirty : key | dirty;  // write-allocate
+  return {hit, writeback};
 }
 
 bool Cache::probe(std::uint64_t addr) const {
   const std::uint64_t line_addr = addr >> line_shift_;
-  const std::uint32_t set = static_cast<std::uint32_t>(line_addr & (n_sets_ - 1));
-  const std::uint64_t tag = line_addr >> std::countr_zero(n_sets_);
-  const Line* base = &lines_[std::size_t{set} * cfg_.assoc];
+  const std::uint64_t key = ((line_addr >> set_shift_) << kTagShift) | kValid;
+  const std::uint64_t* set = &lines_[(line_addr & (n_sets_ - 1)) * cfg_.assoc];
   for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+    if ((set[w] & kKeyMask) == key) return true;
   }
   return false;
 }
 
 void Cache::flush() {
-  for (Line& l : lines_) {
-    if (l.valid && l.dirty) ++stats_.writebacks;
-    l = Line{};
+  for (std::uint64_t& l : lines_) {
+    if ((l & kDirty) != 0) ++stats_.writebacks;
+    l &= kRankMask;  // invalid, rank kept: still a permutation per set
   }
 }
 

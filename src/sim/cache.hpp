@@ -1,7 +1,14 @@
 // Set-associative cache simulator (LRU replacement, write-back +
 // write-allocate), operating on simulated addresses at cache-line
-// granularity.  Used for the client I-/D-caches (Table 3) and the server
+// granularity.  Used for the client D-cache (Table 3) and the server
 // L1/L2 hierarchy (Table 4).
+//
+// Each line is one 64-bit word: the tag in the high bits, then valid and
+// dirty bits and a per-set LRU rank in the low byte.  The ranks of a set
+// are always a permutation of 0..assoc-1 (0 = most recently used), and
+// invalid ways hold the highest ranks, so the victim is simply the way
+// ranked assoc-1.  Rank order is the order a per-access timestamp would
+// give, so hits, misses and writebacks match a timestamp-LRU cache.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +54,11 @@ class Cache {
   void flush();
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
-
   CacheConfig cfg_;
   std::uint32_t n_sets_;
   std::uint32_t line_shift_;
-  std::vector<Line> lines_;  // n_sets * assoc, set-major
-  std::uint64_t tick_ = 0;
+  std::uint32_t set_shift_;
+  std::vector<std::uint64_t> lines_;  // n_sets * assoc, set-major
   CacheStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/client_cpu.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace mosaiq::sim {
@@ -12,8 +13,9 @@ constexpr std::uint64_t kCodeBase = 0x0010'0000ull;
 
 }  // namespace
 
-ClientCpu::ClientCpu(const ClientConfig& cfg)
-    : cfg_(cfg), icache_(cfg.icache), dcache_(cfg.dcache) {
+ClientCpu::ClientCpu(const ClientConfig& cfg) : cfg_(cfg), dcache_(cfg.dcache) {
+  assert(cfg.code_footprint_bytes % 4 == 0);
+  assert(kCodeBase % cfg.icache.line_bytes == 0);
   table_.icache_nj = cacti_lite_nj(cfg.icache);
   table_.dcache_nj = cacti_lite_nj(cfg.dcache);
   // DVFS: dynamic energy scales with the supply voltage squared.
@@ -29,32 +31,29 @@ ClientCpu::ClientCpu(const ClientConfig& cfg)
 }
 
 void ClientCpu::fetch(std::uint64_t n) {
-  // Until the code footprint is resident, simulate each fetch; afterwards
-  // the footprint fits the I-cache (16 KB >= 8 KB) and every fetch hits,
-  // so only the counters and energy are advanced.
-  if (!icache_warm_) {
-    std::uint64_t simulated = 0;
-    while (simulated < n) {
-      const auto r = icache_.access(kCodeBase + fetch_pc_, false);
-      fetch_pc_ = (fetch_pc_ + 4) % cfg_.code_footprint_bytes;
-      if (!r.hit) {
-        stall_cycles_ += cfg_.mem_latency_cycles;
-        cycles_ += cfg_.mem_latency_cycles;
-        energy_.bus_j += table_.bus_line_nj * kNanojoule;
-        energy_.dram_j += table_.dram_line_nj * kNanojoule;
-      }
-      energy_.icache_j += table_.icache_nj * kNanojoule;
-      ++simulated;
-      // Warm once the whole footprint has been walked at least once.
-      if (fetch_pc_ == 0 && icache_.stats().accesses >= cfg_.code_footprint_bytes / 4) {
-        icache_warm_ = true;
-        break;
-      }
+  // The first footprint/4 fetches walk the code footprint once, in order,
+  // from the line-aligned kCodeBase: fetch i misses exactly when its PC
+  // starts an I-cache line, whatever the geometry.  Afterwards the
+  // footprint is resident (16 KB >= 8 KB) and every fetch hits, so only
+  // energy is advanced and the stats stay at their warm values.
+  const std::uint64_t walk = cfg_.code_footprint_bytes / 4;
+  const std::uint64_t line_mask = cfg_.icache.line_bytes - 1;
+  while (n > 0 && icache_stats_.accesses < walk) {
+    const std::uint64_t pc = kCodeBase + 4 * icache_stats_.accesses;
+    ++icache_stats_.accesses;
+    if ((pc & line_mask) == 0) {
+      ++icache_stats_.misses;
+      stall_cycles_ += cfg_.mem_latency_cycles;
+      cycles_ += cfg_.mem_latency_cycles;
+      energy_.bus_j += table_.bus_line_nj * kNanojoule;
+      energy_.dram_j += table_.dram_line_nj * kNanojoule;
+    } else {
+      ++icache_stats_.hits;
     }
-    n -= simulated;
-    if (n == 0) return;
+    energy_.icache_j += table_.icache_nj * kNanojoule;
+    --n;
   }
-  energy_.icache_j += static_cast<double>(n) * table_.icache_nj * kNanojoule;
+  if (n > 0) energy_.icache_j += static_cast<double>(n) * table_.icache_nj * kNanojoule;
 }
 
 void ClientCpu::instr(const rtree::InstrMix& mix) {

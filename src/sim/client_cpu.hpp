@@ -3,10 +3,11 @@
 // Single-issue in-order 5-stage pipeline: each retired instruction costs
 // one cycle; loads/stores additionally access the D-cache and stall the
 // pipeline for mem_latency_cycles on a miss (plus a write-back).  The
-// instruction-fetch stream is synthesized over a small code footprint
-// that warms the I-cache and then hits (query kernels are tight loops);
-// per-event dynamic energies from EnergyTable are integrated into an
-// EnergyBreakdown.
+// instruction-fetch stream walks a small code footprint once, from a
+// line-aligned base, and then hits (query kernels are tight loops).  That
+// warm-up is counted in closed form rather than simulated: a fetch misses
+// exactly when its PC starts an I-cache line.  Per-event dynamic energies
+// from EnergyTable are integrated into an EnergyBreakdown.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ class ClientCpu final : public rtree::ExecHooks {
   std::uint64_t stall_cycles() const { return stall_cycles_; }
 
   const EnergyBreakdown& energy() const { return energy_; }
-  const CacheStats& icache_stats() const { return icache_.stats(); }
+  const CacheStats& icache_stats() const { return icache_stats_; }
   const CacheStats& dcache_stats() const { return dcache_.stats(); }
   const ClientConfig& config() const { return cfg_; }
   const EnergyTable& energy_table() const { return table_; }
@@ -61,14 +62,12 @@ class ClientCpu final : public rtree::ExecHooks {
 
   ClientConfig cfg_;
   EnergyTable table_;
-  Cache icache_;
+  CacheStats icache_stats_;  ///< accesses = fetches into the warm-up walk so far
   Cache dcache_;
 
   std::uint64_t cycles_ = 0;
   std::uint64_t stall_cycles_ = 0;
   std::uint64_t instructions_ = 0;
-  std::uint64_t fetch_pc_ = 0;  ///< synthetic PC offset within the code footprint
-  bool icache_warm_ = false;
   EnergyBreakdown energy_;
 };
 

@@ -26,18 +26,23 @@ void ServerCpu::instr(const rtree::InstrMix& mix) { instructions_ += mix.total()
 
 bool ServerCpu::tlb_lookup(std::uint64_t addr) {
   const std::uint64_t page = addr / cfg_.page_bytes;
+  // A page is resident at most once, and the last entry used already
+  // holds the newest tick, so a repeat hit on it changes no LRU order.
+  if (tlb_[tlb_mru_].page == page) return true;
   ++tlb_tick_;
-  TlbEntry* victim = &tlb_[0];
-  for (TlbEntry& e : tlb_) {
+  std::size_t victim = 0;
+  for (std::size_t i = 0; i < tlb_.size(); ++i) {
+    TlbEntry& e = tlb_[i];
     if (e.page == page) {
       e.lru = tlb_tick_;
+      tlb_mru_ = i;
       return true;
     }
-    if (e.lru < victim->lru) victim = &e;
+    if (e.lru < tlb_[victim].lru) victim = i;
   }
   ++tlb_misses_;
-  victim->page = page;
-  victim->lru = tlb_tick_;
+  tlb_[victim] = TlbEntry{page, tlb_tick_};
+  tlb_mru_ = victim;
   return false;
 }
 

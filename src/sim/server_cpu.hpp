@@ -8,6 +8,7 @@
 // resource-rich, so no energy is modeled (paper Section 5.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -64,13 +65,15 @@ class ServerCpu final : public rtree::ExecHooks {
   std::uint64_t bc_misses_ = 0;
   std::uint64_t last_page_ = ~0ull;
 
-  // Fully-associative LRU TLB.
+  // Fully-associative LRU TLB; tlb_mru_ is the entry used last, tested
+  // before the scan.
   struct TlbEntry {
     std::uint64_t page = ~0ull;
     std::uint64_t lru = 0;
   };
   std::vector<TlbEntry> tlb_;
   std::uint64_t tlb_tick_ = 0;
+  std::size_t tlb_mru_ = 0;
 };
 
 }  // namespace mosaiq::sim

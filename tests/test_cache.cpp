@@ -1,10 +1,102 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "sim/cache.hpp"
 #include "sim/energy.hpp"
 
 namespace mosaiq::sim {
 namespace {
+
+/// A timestamp-LRU cache: 24-byte lines stamped with a per-access tick,
+/// the victim an invalid way or else the oldest stamp.  It lives only
+/// here, as the reference that Cache's packed LRU ranks must match.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : cfg_(cfg),
+        n_sets_(cfg.size_bytes / (cfg.line_bytes * cfg.assoc)),
+        line_shift_(static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes))),
+        lines_(std::size_t{n_sets_} * cfg.assoc) {}
+
+  Cache::AccessResult access(std::uint64_t addr, bool is_write) {
+    ++stats_.accesses;
+    ++tick_;
+    Line* base = set_of(addr);
+    const std::uint64_t tag = tag_of(addr);
+    Line* victim = base;
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      Line& l = base[w];
+      if (l.valid && l.tag == tag) {
+        ++stats_.hits;
+        l.lru = tick_;
+        l.dirty = l.dirty || is_write;
+        return {true, false};
+      }
+      if (!l.valid) {
+        victim = &l;
+      } else if (victim->valid && l.lru < victim->lru) {
+        victim = &l;
+      }
+    }
+    ++stats_.misses;
+    const bool writeback = victim->valid && victim->dirty;
+    if (writeback) ++stats_.writebacks;
+    *victim = Line{tag, tick_, true, is_write};
+    return {false, writeback};
+  }
+
+  bool probe(std::uint64_t addr) {
+    const Line* base = set_of(addr);
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (base[w].valid && base[w].tag == tag_of(addr)) return true;
+    }
+    return false;
+  }
+
+  void flush() {
+    for (Line& l : lines_) {
+      if (l.valid && l.dirty) ++stats_.writebacks;
+      l = Line{};
+    }
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  Line* set_of(std::uint64_t addr) {
+    const std::uint64_t set = (addr >> line_shift_) & (n_sets_ - 1);
+    return &lines_[set * cfg_.assoc];
+  }
+  std::uint64_t tag_of(std::uint64_t addr) const {
+    return (addr >> line_shift_) >> std::countr_zero(n_sets_);
+  }
+
+  CacheConfig cfg_;
+  std::uint32_t n_sets_;
+  std::uint32_t line_shift_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+  CacheStats stats_;
+};
+
+void expect_same_stats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+}
 
 TEST(Cache, ColdMissThenHit) {
   Cache c({1024, 2, 32});
@@ -133,6 +225,70 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheSweep,
                                            SweepParam{1024 * 1024, 2, 128},
                                            SweepParam{1024, 1, 32},
                                            SweepParam{256, 8, 32}));
+
+class CacheReference : public ::testing::TestWithParam<CacheConfig> {};
+
+TEST_P(CacheReference, PackedRanksMatchTimestampLru) {
+  const CacheConfig cfg = GetParam();
+  // Working sets of half, one and four times the capacity: mostly hits,
+  // capacity-bound, and thrashing.
+  for (const double scale : {0.5, 1.0, 4.0}) {
+    SCOPED_TRACE("working set " + std::to_string(scale) + "x capacity");
+    Cache cache(cfg);
+    ReferenceCache ref(cfg);
+    const auto span = static_cast<std::uint64_t>(scale * cfg.size_bytes);
+    std::mt19937_64 rng(0x5eed + static_cast<std::uint64_t>(scale * 10) + cfg.size_bytes +
+                        cfg.assoc);
+    std::uniform_int_distribution<std::uint64_t> pick(0, span - 1);
+    std::bernoulli_distribution write(0.3);
+    std::bernoulli_distribution sequential(0.5);
+    std::uint64_t addr = 0;
+    const int n = 40000;
+    for (int i = 0; i < n; ++i) {
+      // Half the accesses step to the next word (repeat hits on the MRU
+      // way), half jump anywhere in the working set.
+      addr = sequential(rng) ? (addr + 4) % span : pick(rng);
+      const std::uint64_t a = 0x4000'0000ull + addr;
+      const bool w = write(rng);
+      const Cache::AccessResult got = cache.access(a, w);
+      const Cache::AccessResult want = ref.access(a, w);
+      ASSERT_EQ(got.hit, want.hit) << "access " << i;
+      ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+      if (i % 97 == 0) {
+        const std::uint64_t p = 0x4000'0000ull + pick(rng);
+        ASSERT_EQ(cache.probe(p), ref.probe(p)) << "probe after access " << i;
+      }
+      if (i == n / 2) {
+        cache.flush();
+        ref.flush();
+        expect_same_stats(cache.stats(), ref.stats());
+        ASSERT_FALSE(cache.probe(a));
+      }
+    }
+    expect_same_stats(cache.stats(), ref.stats());
+  }
+}
+
+// The CacheSweep geometries, the server's 16-way buffer cache of 8 KB
+// pages, and the 1-64 KB client D-caches that abl_cache_model sweeps.
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheReference,
+                         ::testing::Values(CacheConfig{8 * 1024, 4, 32},
+                                           CacheConfig{16 * 1024, 4, 32},
+                                           CacheConfig{32 * 1024, 2, 64},
+                                           CacheConfig{1024 * 1024, 2, 128},
+                                           CacheConfig{1024, 1, 32},
+                                           CacheConfig{256, 8, 32},
+                                           CacheConfig{16 * 1024 * 1024, 16, 8192},
+                                           CacheConfig{1024, 4, 32},
+                                           CacheConfig{2 * 1024, 4, 32},
+                                           CacheConfig{4 * 1024, 4, 32},
+                                           CacheConfig{32 * 1024, 4, 32},
+                                           CacheConfig{64 * 1024, 4, 32}),
+                         [](const ::testing::TestParamInfo<CacheConfig>& info) {
+                           const CacheConfig& c = info.param;
+                           return std::to_string(c.size_bytes) + "B_" + std::to_string(c.assoc) +
+                                  "way_" + std::to_string(c.line_bytes) + "Bline";
+                         });
 
 }  // namespace
 }  // namespace mosaiq::sim

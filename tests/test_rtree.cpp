@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "geom/predicates.hpp"
 #include "rtree/packed_rtree.hpp"
@@ -166,11 +168,20 @@ TEST(PackedRTree, InstrumentationCountsWork) {
 
 // Parameterized equivalence sweep: every sort order must answer every
 // query identically (packing affects performance, never correctness).
+// CMake's gtest_discover_tests names each case after gtest's byte dump of
+// its parameter, so every byte of TreeCase must be a value byte: the four
+// bytes after `order` are an explicit zero, not padding that would carry
+// stack garbage into the test names.
 struct TreeCase {
+  TreeCase(std::size_t n_, SortOrder order_, std::uint64_t seed_)
+      : n(n_), order(order_), seed(seed_) {}
+
   std::size_t n;
   SortOrder order;
+  std::uint32_t zero = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TreeCase>);
 
 class PackedRTreeEquivalence : public ::testing::TestWithParam<TreeCase> {};
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "rtree/exec.hpp"
 #include "sim/client_cpu.hpp"
 #include "sim/server_cpu.hpp"
@@ -69,10 +74,51 @@ TEST(ClientCpu, MulCostsMoreThanAlu) {
 TEST(ClientCpu, ICacheWarmsUp) {
   ClientCpu cpu{ClientConfig{}};
   cpu.instr(InstrMix{100000, 0, 0});
-  // After the footprint is resident everything hits: the overall miss
-  // count is bounded by footprint/line.
+  // The 8 KB footprint is walked once (2048 fetches, one miss per 32 B
+  // line); after that every fetch hits and the stats stay put.
   const CacheStats& ic = cpu.icache_stats();
-  EXPECT_LE(ic.misses, ClientConfig{}.code_footprint_bytes / 32);
+  EXPECT_EQ(ic.accesses, 2048u);
+  EXPECT_EQ(ic.hits, 1792u);
+  EXPECT_EQ(ic.misses, 256u);
+  EXPECT_EQ(ic.writebacks, 0u);
+  EXPECT_EQ(cpu.stall_cycles(), 25600u);  // 256 misses x 100 cycles
+
+  ClientCpu cold{ClientConfig{}};
+  cold.instr(InstrMix{100, 0, 0});
+  EXPECT_EQ(cold.icache_stats().accesses, 100u);
+  EXPECT_EQ(cold.icache_stats().misses, 13u);  // PCs 0, 32, ..., 384
+}
+
+TEST(ClientCpu, ICacheCountersMatchASimulatedICache) {
+  // Drive a real Cache over the warm-up's PC stream, kCodeBase + 4 i,
+  // wrapping at the footprint, and compare with the closed form.
+  for (const CacheConfig icache : {ClientConfig{}.icache, CacheConfig{16 * 1024, 2, 64},
+                                   CacheConfig{8 * 1024, 1, 16}}) {
+    SCOPED_TRACE(icache.line_bytes);
+    ClientConfig cfg;
+    cfg.icache = icache;
+    ClientCpu cpu{cfg};
+    Cache real(icache);
+    const std::uint64_t walk = cfg.code_footprint_bytes / 4;
+    std::uint64_t fetched = 0;
+    // Steps that cut at 1, 7, 8, 9, 100, 2047, 2048, 2049, 5000 and 20000
+    // fetches: around line starts and the end of the walk.
+    for (const std::uint64_t step : {1, 6, 1, 1, 91, 1947, 1, 1, 2951, 15000}) {
+      cpu.instr(InstrMix{step, 0, 0});
+      const std::uint64_t cut = fetched + step;
+      for (; fetched < cut; ++fetched) real.access(0x10'0000ull + 4 * (fetched % walk), false);
+      const CacheStats& model = cpu.icache_stats();
+      // Every fetch after the walk hits, so the misses never diverge...
+      EXPECT_EQ(model.misses, real.stats().misses) << "cut " << cut;
+      EXPECT_EQ(cpu.stall_cycles(), model.misses * cfg.mem_latency_cycles);
+      // ...and the model's stats freeze once the walk is done.
+      EXPECT_EQ(model.accesses, std::min(cut, walk)) << "cut " << cut;
+      if (cut <= walk) {
+        EXPECT_EQ(model.hits, real.stats().hits) << "cut " << cut;
+        EXPECT_EQ(model.accesses, real.stats().accesses) << "cut " << cut;
+      }
+    }
+  }
 }
 
 TEST(ClientCpu, ClientPowerIsInPaperRegime) {
@@ -162,6 +208,42 @@ TEST(ServerCpu, TlbMissesCounted) {
     }
   }
   EXPECT_GE(cpu.tlb_misses(), pages);  // cyclic sweep defeats LRU
+}
+
+TEST(ServerCpu, TlbMatchesLinearScanLru) {
+  const ServerConfig cfg;
+  ServerCpu cpu{cfg};
+  // Reference: a fully-associative LRU list, most recent page first.
+  std::vector<std::uint64_t> lru;
+  std::uint64_t ref_misses = 0;
+  const auto ref_lookup = [&](std::uint64_t page) {
+    const auto it = std::find(lru.begin(), lru.end(), page);
+    if (it != lru.end()) {
+      lru.erase(it);
+    } else {
+      ++ref_misses;
+      if (lru.size() == cfg.tlb_entries) lru.pop_back();
+    }
+    lru.insert(lru.begin(), page);
+  };
+  // Sequential runs of 64 B lines (repeat hits on the last entry, and
+  // page crossings) starting at one of 200 scattered pages (> 64).
+  std::mt19937_64 rng(13);
+  for (int run = 0; run < 3000; ++run) {
+    const std::uint64_t page = rng() % 200;
+    const std::uint64_t line = rng() % 64;
+    const std::uint64_t lines = 1 + rng() % 96;
+    std::uint64_t addr = simaddr::kDataBase + page * 7 * cfg.page_bytes + line * 64;
+    for (std::uint64_t l = 0; l < lines; ++l, addr += 64) {
+      cpu.read(addr, 4);
+      ref_lookup(addr / cfg.page_bytes);
+    }
+    if (run % 500 == 0) {
+      ASSERT_EQ(cpu.tlb_misses(), ref_misses) << "run " << run;
+    }
+  }
+  EXPECT_EQ(cpu.tlb_misses(), ref_misses);
+  EXPECT_GT(ref_misses, 1000u);  // the stream really does overflow the TLB
 }
 
 TEST(ServerCpu, MuchFasterThanClientOnSameWork) {
