@@ -7,8 +7,9 @@
 #                    build/lint.sarif and the --json/--sarif schema gate
 #   4. header self-containment (scripts/check_headers.sh)
 #   5. docs <-> code consistency, the bench smoke gate, clang-tidy
-#   6. million-client scale gate (scripts/check_fleet_scale.sh; ~35 s,
-#      ~3 GB peak, so it runs here rather than under ctest -j)
+#   6. fleet scale gate (scripts/check_fleet_scale.sh: 1M clients, then
+#      100k under churn; ~30 s, ~3 GB peak, so it runs here rather than
+#      under ctest -j)
 #   7. [--san]     ASan+UBSan preset: full rebuild + full ctest
 #   8. [--san]     TSan preset: rebuild + the threaded suites only
 #
@@ -64,7 +65,7 @@ echo "==> mosaiq-bench smoke + regression gate vs BENCH_baseline.json"
 echo "==> clang-tidy over src/ (skips itself when not installed)"
 scripts/check_clang_tidy.sh build || [ $? -eq 77 ]
 
-echo "==> million-client fleet scale gate"
+echo "==> fleet scale gate (1M clients; 100k under churn)"
 scripts/check_fleet_scale.sh build/tools/mosaiq
 
 if [ "$san" = 1 ]; then

@@ -120,6 +120,34 @@ struct Event {
   }
 };
 
+/// Min tournament tree over one key per client, every key kNone until
+/// set: leaves at [n, 2n), each inner node the smaller of its two
+/// children, so the root is the smallest key and changing one key
+/// replays only its path, O(log K).
+class SurvivorIndex {
+ public:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  explicit SurvivorIndex(std::size_t n) : n_(n), tree_(2 * n, kNone) {}
+
+  /// The smallest key; kNone when every leaf holds kNone.
+  std::uint64_t min() const { return n_ == 0 ? kNone : tree_[1]; }
+
+  void set(std::uint32_t leaf, std::uint64_t key) {
+    std::size_t i = n_ + leaf;
+    tree_[i] = key;
+    for (i /= 2; i >= 1; i /= 2) {
+      const std::uint64_t m = std::min(tree_[2 * i], tree_[2 * i + 1]);
+      if (tree_[i] == m) break;  // ancestors already agree
+      tree_[i] = m;
+    }
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::uint64_t> tree_;
+};
+
 /// Normalized Zipf CDF over `n` hotspot ranks: weight(r) ~ (r+1)^-theta.
 /// Clients invert a uniform draw against this to pick a shared query
 /// stream, so a few streams serve most of the fleet.
@@ -573,79 +601,66 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     events.push(Event{end, k, kClientStage});
   };
 
-  // Re-hand an orphaned unit to the least-loaded survivor (ties go to
-  // the lowest client id — deterministic).
+  // The reassignment survivor is the live client with the least load
+  // (queued plus in-flight units), ties to the lowest id: the smallest
+  // `load << 32 | id` key, with dead clients keyed out.  Only
+  // replication > 1 ever reassigns, so only then is the index built.  A
+  // key changes only in its own client's events and in a re-hand, so
+  // the loop refreshes it at exactly those two points.
+  auto survivor_key = [&](std::uint32_t k) {
+    const Client& c = clients[k];
+    if (c.dead) return SurvivorIndex::kNone;
+    const std::uint64_t load = c.work.size() + (c.active ? 1 : 0);
+    return load << 32 | k;
+  };
+  std::optional<SurvivorIndex> survivors;
+  if (replication > 1) {
+    survivors.emplace(fleet.clients);
+    for (std::uint32_t k = 0; k < fleet.clients; ++k) survivors->set(k, survivor_key(k));
+  }
+
+  // Re-hand an orphaned unit to the survivor above; with nobody left,
+  // the unit is lost.
   auto handle_reassign = [&](std::uint32_t u, double now) {
     WorkUnit& w = units[u];
     if (w.answered || w.lost || w.live_replicas > 0) return;
-    if (alive == 0) {
+    const std::uint64_t key = survivors->min();
+    if (key == SurvivorIndex::kNone) {
       w.lost = true;
       --unresolved;
       return;
     }
-    std::uint32_t best = fleet.clients;
-    std::size_t best_load = 0;
-    for (std::uint32_t k = 0; k < fleet.clients; ++k) {
-      const Client& c = clients[k];
-      if (c.dead) continue;
-      const std::size_t load = c.work.size() + (c.active ? 1 : 0);
-      if (best == fleet.clients || load < best_load) {
-        best = k;
-        best_load = load;
-      }
-    }
-    if (best == fleet.clients) {  // nobody left: the unit is lost
-      w.lost = true;
-      --unresolved;
-      return;
-    }
+    const auto best = static_cast<std::uint32_t>(key);  // the low 32 bits
     ++w.live_replicas;
     ++reassignments;
     if (trace != nullptr) trace->counter("reassignments", 1);
     Client& c = clients[best];
     c.work.push_back(u);
+    survivors->set(best, survivor_key(best));
     if (c.idle && !c.wake_pending) {
       c.wake_pending = true;
       events.push(Event{std::max(now, c.parked_since), best, kClientStage});
     }
   };
 
-  while (!events.empty()) {
-    // Mission over: every unit is answered or lost and nobody is
-    // mid-exchange.  Stop before draining the remaining (departure)
-    // events — a client leaving AFTER the fleet's work is done is
-    // retirement, not a death the survival curve should chart.
-    if (unresolved == 0) {
-      bool quiescent = true;
-      for (const Client& peer : clients) {
-        if (!peer.dead && !peer.idle) {
-          quiescent = false;
-          break;
-        }
-      }
-      if (quiescent) break;
-    }
-    const Event ev = events.top();
-    events.pop();
-    if (ev.kind == kReassign) {
-      handle_reassign(ev.id, ev.time);
-      continue;
-    }
+  // One client event: drop it if stale, fire a death that is due,
+  // wake a parked client, or advance the client one stage.
+  auto handle_client_event = [&](const Event& ev) {
     Client& c = clients[ev.id];
-    if (c.dead) continue;  // stale event for a departed client
+    if (c.dead) return;  // stale event for a departed client
     if (c.battery_empty_at >= 0) {
       kill_client(ev.id, c.battery_empty_at, DeathCause::Battery);
-      continue;
+      return;
     }
     if (ev.kind == kDeparture || ev.time >= c.departs_at) {
       kill_client(ev.id, c.departs_at, DeathCause::Departure);
-      continue;
+      return;
     }
     if (c.idle) {
       // Wake-up from a reassignment: account the parked stretch, then
       // fall through to issue.
       c.wake_pending = false;
-      if (c.work.empty()) continue;  // answered in the meantime
+      if (c.work.empty()) return;  // answered in the meantime
       c.nic.spend(net::NicState::Sleep, ev.time - c.parked_since);
       settle(ev.id, "parked", c.parked_since, ev.time);
       c.idle = false;
@@ -730,6 +745,31 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     // whenever its next event would have popped.
     if (!c.dead && c.battery_empty_at >= 0) {
       kill_client(ev.id, c.battery_empty_at, DeathCause::Battery);
+    }
+  };
+
+  while (!events.empty()) {
+    // Mission over: every unit is answered or lost and nobody is
+    // mid-exchange.  Stop before draining the remaining (departure)
+    // events — a client leaving AFTER the fleet's work is done is
+    // retirement, not a death the survival curve should chart.
+    if (unresolved == 0) {
+      bool quiescent = true;
+      for (const Client& peer : clients) {
+        if (!peer.dead && !peer.idle) {
+          quiescent = false;
+          break;
+        }
+      }
+      if (quiescent) break;
+    }
+    const Event ev = events.top();
+    events.pop();
+    if (ev.kind == kReassign) {
+      handle_reassign(ev.id, ev.time);
+    } else {
+      handle_client_event(ev);
+      if (survivors) survivors->set(ev.id, survivor_key(ev.id));
     }
   }
 

@@ -4,7 +4,9 @@
 #include <cstdint>
 
 #include "core/fleet.hpp"
+#include "net/fault.hpp"
 #include "obs/trace.hpp"
+#include "perf/config_hash.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::core {
@@ -257,6 +259,54 @@ TEST(Fleet, ReassignmentRehandsOrphanedUnits) {
   EXPECT_GT(o.reassignments, 0u);
   EXPECT_GT(o.clients_alive, 0u);
   EXPECT_DOUBLE_EQ(o.answer_completeness, 1.0);
+}
+
+/// FNV-1a over the bit pattern of every double in a FleetOutcome,
+/// including each death time and each client's energy.
+std::uint64_t outcome_digest(const FleetOutcome& o) {
+  perf::ConfigHasher h;
+  h.mix(o.makespan_s)
+      .mix(o.mean_latency_s)
+      .mix(o.p95_latency_s)
+      .mix(o.mean_client_energy_j)
+      .mix(o.medium_utilization)
+      .mix(o.server_utilization)
+      .mix(o.wasted_tx_j)
+      .mix(o.wasted_rx_j)
+      .mix(o.energy_fairness)
+      .mix(o.answer_completeness);
+  for (const ClientDeath& d : o.deaths) h.mix(d.time_s);
+  for (const double j : o.client_energy_j) h.mix(j);
+  return h.value();
+}
+
+TEST(Fleet, ReassignmentChoicesMatchGoldenValues) {
+  // Which survivor inherits an orphaned unit (least load, ties to the
+  // lowest id) steers every later event, so these values pin the
+  // choice rule, not just run-to-run determinism.  They were recorded
+  // with a survivor search that scanned every client.  The settings are
+  // the perfbench fleet_churn workload's, at a tenth of its clients and
+  // on this suite's dataset.
+  SessionConfig cfg = base_config(Scheme::FullyAtServer);
+  cfg.fault = net::bursty_loss_config(0.05, 4);
+  FleetConfig f;
+  f.clients = 2000;
+  f.queries_per_client = 2;
+  f.think_time_s = 1.0;
+  f.query_kind = rtree::QueryKind::Point;
+  f.churn.departure_rate_per_s = 0.02;
+  f.churn.seed = 5;
+  f.replication = 2;
+  f.battery.enabled = true;
+  f.battery.seed = 6;
+  const FleetOutcome o = run_fleet(data(), cfg, f);
+  EXPECT_EQ(o.reassignments, 28u);
+  EXPECT_EQ(o.units_lost, 0u);
+  EXPECT_EQ(o.duplicate_answers, 0u);
+  EXPECT_EQ(o.deaths.size(), 280u);
+  EXPECT_EQ(o.clients_alive, 1720u);
+  EXPECT_EQ(o.answers, 4000u);
+  EXPECT_EQ(outcome_digest(o), 0x71bd9b96104ce2daull);
 }
 
 TEST(Fleet, PluggedClientsNeverDieOfExhaustion) {
