@@ -10,8 +10,11 @@
 #   6. fleet scale gate (scripts/check_fleet_scale.sh: 1M clients, then
 #      100k under churn; ~30 s, ~3 GB peak, so it runs here rather than
 #      under ctest -j)
-#   7. [--san]     ASan+UBSan preset: full rebuild + full ctest
-#   8. [--san]     TSan preset: rebuild + the threaded suites only
+#   7. perfbench smoke gate (scripts/check_perfbench.sh: builds the
+#      workload benchmark's own Release tree, runs every workload for
+#      1 s and requires every output check to pass; ~11 s once built)
+#   8. [--san]     ASan+UBSan preset: full rebuild + full ctest
+#   9. [--san]     TSan preset: rebuild + the threaded suites only
 #
 # Usage: scripts/check.sh [--san]
 set -euo pipefail
@@ -67,6 +70,9 @@ scripts/check_clang_tidy.sh build || [ $? -eq 77 ]
 
 echo "==> fleet scale gate (1M clients; 100k under churn)"
 scripts/check_fleet_scale.sh build/tools/mosaiq
+
+echo "==> perfbench smoke gate (every workload for 1 s, output checks)"
+scripts/check_perfbench.sh
 
 if [ "$san" = 1 ]; then
   echo "==> ASan+UBSan: full suite"

@@ -1,12 +1,32 @@
 #include "sim/server_cpu.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace mosaiq::sim {
 
+namespace {
+
+/// Slots per TLB entry, before rounding up to a power of two.
+constexpr std::uint32_t kTlbSlotsPerEntry = 16;
+
+/// Fibonacci hashing: the slot is the top bits of page * 2^64 / phi.
+constexpr std::uint64_t kTlbHashMul = 0x9e3779b97f4a7c15ull;
+
+}  // namespace
+
 ServerCpu::ServerCpu(const ServerConfig& cfg)
-    : cfg_(cfg), l1d_(cfg.l1d), l2_(cfg.l2), tlb_(cfg.tlb_entries) {
+    : cfg_(cfg),
+      l1d_(cfg.l1d),
+      l2_(cfg.l2),
+      tlb_(cfg.tlb_entries),
+      tlb_slot_(std::bit_ceil(kTlbSlotsPerEntry * cfg.tlb_entries)),
+      tlb_shift_(64 - static_cast<unsigned>(std::countr_zero(tlb_slot_.size()))) {
+  assert(cfg.tlb_entries >= 1);
+  assert(cfg.tlb_entries - 1 <= std::numeric_limits<std::uint16_t>::max());
   if (cfg.disk_backed) {
     // Page-granular fully-associative-ish buffer cache (16-way LRU).
     const std::uint32_t ways = 16;
@@ -30,12 +50,21 @@ bool ServerCpu::tlb_lookup(std::uint64_t addr) {
   // holds the newest tick, so a repeat hit on it changes no LRU order.
   if (tlb_[tlb_mru_].page == page) return true;
   ++tlb_tick_;
+  // Because the page is resident at most once, an entry the slot names
+  // that holds it is the entry the scan would find.
+  std::uint16_t& slot = tlb_slot_[(page * kTlbHashMul) >> tlb_shift_];
+  if (tlb_[slot].page == page) {
+    tlb_[slot].lru = tlb_tick_;
+    tlb_mru_ = slot;
+    return true;
+  }
   std::size_t victim = 0;
   for (std::size_t i = 0; i < tlb_.size(); ++i) {
     TlbEntry& e = tlb_[i];
     if (e.page == page) {
       e.lru = tlb_tick_;
       tlb_mru_ = i;
+      slot = static_cast<std::uint16_t>(i);
       return true;
     }
     if (e.lru < tlb_[victim].lru) victim = i;
@@ -43,6 +72,7 @@ bool ServerCpu::tlb_lookup(std::uint64_t addr) {
   ++tlb_misses_;
   tlb_[victim] = TlbEntry{page, tlb_tick_};
   tlb_mru_ = victim;
+  slot = static_cast<std::uint16_t>(victim);
   return false;
 }
 

@@ -6,6 +6,11 @@
 // discount that stands in for out-of-order latency hiding (RUU 64 /
 // LSQ 32 in Table 4).  Only cycles matter — the server is assumed
 // resource-rich, so no energy is modeled (paper Section 5.3).
+//
+// The TLB is fully associative with exact LRU replacement.  A resident
+// page is found in O(1) through a hashed page -> entry index; the index
+// is only a hint, checked against the entry, so hits, misses and
+// victims are those of a plain LRU scan.
 #pragma once
 
 #include <cstddef>
@@ -65,13 +70,22 @@ class ServerCpu final : public rtree::ExecHooks {
   std::uint64_t bc_misses_ = 0;
   std::uint64_t last_page_ = ~0ull;
 
-  // Fully-associative LRU TLB; tlb_mru_ is the entry used last, tested
-  // before the scan.
+  // Fully-associative LRU TLB.  A page is looked up in tlb_mru_ (the
+  // entry used last), then in the entry tlb_slot_ names for the page's
+  // hash, then by a scan of every entry that also finds the LRU victim
+  // and records the entry it found or filled in the page's slot.  A slot
+  // is trusted only when its entry still holds the page.  The slot is
+  // hashed from the page number rather than masked from it: every
+  // simaddr region (and the NIC buffer 4 MB past kNetBase) starts at a
+  // page that is 0 mod 1024, so masked slots would collide on the first
+  // pages of every region.
   struct TlbEntry {
     std::uint64_t page = ~0ull;
     std::uint64_t lru = 0;
   };
   std::vector<TlbEntry> tlb_;
+  std::vector<std::uint16_t> tlb_slot_;  ///< page hash -> index into tlb_
+  unsigned tlb_shift_ = 0;               ///< 64 - log2(tlb_slot_.size())
   std::uint64_t tlb_tick_ = 0;
   std::size_t tlb_mru_ = 0;
 };

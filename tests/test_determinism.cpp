@@ -23,6 +23,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "perf/build_cache.hpp"
+#include "perf/config_hash.hpp"
 #include "rtree/pmr_quadtree.hpp"
 #include "rtree/shipment.hpp"
 #include "workload/query_gen.hpp"
@@ -184,6 +185,86 @@ TEST(Determinism, SessionBatchesBitIdentical) {
     expect_bit_identical(a.outcome, b.outcome);
     EXPECT_EQ(a.trace_json, b.trace_json);
   }
+}
+
+/// Mixes every stats::Outcome field into `h`, in declaration order.
+void mix_outcome(perf::ConfigHasher& h, const stats::Outcome& o) {
+  h.mix(o.cycles.processor).mix(o.cycles.nic_tx).mix(o.cycles.nic_rx).mix(o.cycles.wait);
+  h.mix(o.energy.processor_j)
+      .mix(o.energy.nic_tx_j)
+      .mix(o.energy.nic_rx_j)
+      .mix(o.energy.nic_idle_j)
+      .mix(o.energy.nic_sleep_j);
+  const sim::EnergyBreakdown& p = o.processor_detail;
+  h.mix(p.datapath_j)
+      .mix(p.clock_j)
+      .mix(p.icache_j)
+      .mix(p.dcache_j)
+      .mix(p.bus_j)
+      .mix(p.dram_j)
+      .mix(p.idle_j);
+  h.mix(o.server_cycles)
+      .mix(o.bytes_tx)
+      .mix(o.bytes_rx)
+      .mix(std::uint64_t{o.round_trips})
+      .mix(o.answers)
+      .mix(o.wall_seconds)
+      .mix(std::uint64_t{o.retransmissions})
+      .mix(std::uint64_t{o.timeouts})
+      .mix(o.wasted_tx_j)
+      .mix(o.wasted_rx_j)
+      .mix(std::uint64_t{o.queries_degraded})
+      .mix(std::uint64_t{o.queries_failed});
+}
+
+void mix_cache(perf::ConfigHasher& h, const sim::CacheStats& s) {
+  h.mix(s.accesses).mix(s.hits).mix(s.misses).mix(s.writebacks);
+}
+
+/// Golden values for the Table-1 Session path.  The runs above only
+/// compare a binary with itself, so a machine-model change that moved
+/// every number the same way would pass them; these values were
+/// recorded before the server TLB gained its slot index and pin the
+/// simulated numbers themselves.  The cells are perfbench paper_sweep's
+/// at 4 Mbps: every scheme x placement variant per query kind, the
+/// hybrids only for point and range.
+TEST(Determinism, TableOneSessionsMatchGoldenValues) {
+  using core::Scheme;
+  struct Variant {
+    Scheme scheme;
+    bool data_at_client;
+  };
+  perf::ConfigHasher h;
+  std::uint64_t tlb_misses = 0, answers = 0;
+  for (const rtree::QueryKind kind :
+       {rtree::QueryKind::Point, rtree::QueryKind::Range, rtree::QueryKind::NN}) {
+    workload::QueryGen gen(data(), /*seed=*/19);
+    const auto queries = gen.batch(kind, 20);
+    std::vector<Variant> variants = {
+        {Scheme::FullyAtClient, true}, {Scheme::FullyAtServer, false}, {Scheme::FullyAtServer, true}};
+    if (kind != rtree::QueryKind::NN) {
+      variants.push_back({Scheme::FilterClientRefineServer, false});
+      variants.push_back({Scheme::FilterClientRefineServer, true});
+      variants.push_back({Scheme::FilterServerRefineClient, true});
+    }
+    for (const Variant& v : variants) {
+      core::SessionConfig cfg = config(v.scheme);
+      cfg.placement.data_at_client = v.data_at_client;
+      core::Session session(data(), cfg);
+      for (const rtree::Query& q : queries) session.run_query(q);
+      const stats::Outcome o = session.outcome();
+      mix_outcome(h, o);
+      h.mix(session.server_cpu().tlb_misses());
+      mix_cache(h, session.server_cpu().l1d_stats());
+      mix_cache(h, session.server_cpu().l2_stats());
+      mix_cache(h, session.client_cpu().dcache_stats());
+      tlb_misses += session.server_cpu().tlb_misses();
+      answers += o.answers;
+    }
+  }
+  EXPECT_EQ(tlb_misses, 933u);
+  EXPECT_EQ(answers, 14334u);
+  EXPECT_EQ(h.value(), 0x7204f5759fd9f63eull);
 }
 
 /// Faulty-link runs: the seeded loss process, timeout/backoff stalls,

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "rtree/exec.hpp"
@@ -210,8 +213,37 @@ TEST(ServerCpu, TlbMissesCounted) {
   EXPECT_GE(cpu.tlb_misses(), pages);  // cyclic sweep defeats LRU
 }
 
-TEST(ServerCpu, TlbMatchesLinearScanLru) {
-  const ServerConfig cfg;
+/// Address streams for TlbReference: runs of 64 B lines (repeat hits on
+/// the last entry, and page crossings), each starting at a random line
+/// of a random page.  Both streams draw from about 3 * tlb_entries + 8
+/// pages, so they overflow the TLB at every size.
+enum class TlbStream {
+  /// Pages 7 apart in the data region.
+  Scattered,
+  /// The first pages of the five region bases, interleaved.  Every base
+  /// is a page that is 0 mod 1024, so a slot masked from the page number,
+  /// or one trusted without checking its entry, would alias them.
+  RegionBases,
+};
+
+struct TlbCase {
+  TlbStream stream;
+  std::uint32_t entries;
+};
+
+const char* stream_name(TlbStream s) {
+  return s == TlbStream::Scattered ? "Scattered" : "RegionBases";
+}
+
+void PrintTo(const TlbCase& c, std::ostream* os) {
+  *os << '{' << stream_name(c.stream) << ", " << c.entries << '}';
+}
+
+class TlbReference : public ::testing::TestWithParam<TlbCase> {};
+
+TEST_P(TlbReference, MatchesLinearScanLru) {
+  ServerConfig cfg;
+  cfg.tlb_entries = GetParam().entries;
   ServerCpu cpu{cfg};
   // Reference: a fully-associative LRU list, most recent page first.
   std::vector<std::uint64_t> lru;
@@ -226,25 +258,43 @@ TEST(ServerCpu, TlbMatchesLinearScanLru) {
     }
     lru.insert(lru.begin(), page);
   };
-  // Sequential runs of 64 B lines (repeat hits on the last entry, and
-  // page crossings) starting at one of 200 scattered pages (> 64).
+  constexpr std::uint64_t kRegionBases[] = {simaddr::kIndexBase, simaddr::kDataBase,
+                                            simaddr::kScratchBase, simaddr::kNetBase,
+                                            simaddr::kNetBase + (4u << 20)};
+  const std::uint64_t pages = 3ull * cfg.tlb_entries + 8;
+  const int runs = 3000;
   std::mt19937_64 rng(13);
-  for (int run = 0; run < 3000; ++run) {
-    const std::uint64_t page = rng() % 200;
-    const std::uint64_t line = rng() % 64;
+  for (int run = 0; run < runs; ++run) {
+    std::uint64_t addr = 0;
+    if (GetParam().stream == TlbStream::Scattered) {
+      addr = simaddr::kDataBase + rng() % pages * 7 * cfg.page_bytes;
+    } else {
+      addr = kRegionBases[rng() % std::size(kRegionBases)];
+      addr += rng() % (pages / std::size(kRegionBases) + 1) * cfg.page_bytes;
+    }
+    addr += rng() % 64 * 64;
     const std::uint64_t lines = 1 + rng() % 96;
-    std::uint64_t addr = simaddr::kDataBase + page * 7 * cfg.page_bytes + line * 64;
     for (std::uint64_t l = 0; l < lines; ++l, addr += 64) {
       cpu.read(addr, 4);
       ref_lookup(addr / cfg.page_bytes);
     }
-    if (run % 500 == 0) {
-      ASSERT_EQ(cpu.tlb_misses(), ref_misses) << "run " << run;
-    }
+    ASSERT_EQ(cpu.tlb_misses(), ref_misses) << "run " << run;
   }
-  EXPECT_EQ(cpu.tlb_misses(), ref_misses);
-  EXPECT_GT(ref_misses, 1000u);  // the stream really does overflow the TLB
+  EXPECT_GT(ref_misses, std::uint64_t{runs} / 3);  // the stream really does overflow the TLB
 }
+
+// One entry, a small TLB, the Table-4 TLB, and one whose entry indices
+// need more than 8 bits.
+INSTANTIATE_TEST_SUITE_P(
+    Streams, TlbReference,
+    ::testing::Values(TlbCase{TlbStream::Scattered, 64}, TlbCase{TlbStream::Scattered, 1},
+                      TlbCase{TlbStream::Scattered, 8}, TlbCase{TlbStream::Scattered, 300},
+                      TlbCase{TlbStream::RegionBases, 64}, TlbCase{TlbStream::RegionBases, 1},
+                      TlbCase{TlbStream::RegionBases, 8}, TlbCase{TlbStream::RegionBases, 300}),
+    [](const ::testing::TestParamInfo<TlbCase>& info) {
+      return std::string(stream_name(info.param.stream)) + "_" +
+             std::to_string(info.param.entries);
+    });
 
 TEST(ServerCpu, MuchFasterThanClientOnSameWork) {
   // The premise of offloading: identical work, ~order-of-magnitude

@@ -1,9 +1,10 @@
 // The mosaiq-bench registry: one timed kernel per hot layer of the
 // stack — index build, query execution, serialization, transport under
-// faults, fleet stepping, and the perf substrate itself.  Sizes are
-// chosen so the full suite runs in seconds at the default repetition
-// count: the gate compares relative medians across builds, not absolute
-// paper-scale numbers (those stay with the fig*/abl_* harnesses).
+// faults, the simulated memory hierarchy, fleet stepping, and the perf
+// substrate itself.  Sizes are chosen so the full suite runs in seconds
+// at the default repetition count: the gate compares relative medians
+// across builds, not absolute paper-scale numbers (those stay with the
+// fig*/abl_* harnesses).
 //
 // Shared inputs come from perf::BuildCache, so the dataset and every
 // derived index are constructed once per process no matter how many
@@ -12,7 +13,9 @@
 #include "benchmarks.hpp"
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -28,6 +31,8 @@
 #include "rtree/shipment.hpp"
 #include "serial/buffer.hpp"
 #include "serial/messages.hpp"
+#include "sim/config.hpp"
+#include "sim/server_cpu.hpp"
 #include "stats/parallel.hpp"
 #include "workload/dataset.hpp"
 #include "workload/query_gen.hpp"
@@ -197,6 +202,39 @@ void register_all_benchmarks() {
       t += plan.air_s + plan.wait_s;
     }
     return frames;
+  });
+
+  // --- the simulated machine model -----------------------------------
+  add("sim/server_mem_access", {}, [] {
+    // A fresh server memory hierarchy fed a fixed stream of 32 B reads
+    // that alternate among the index, data, scratch and net regions, as
+    // the query kernels hop between nodes, records, result lists and
+    // protocol buffers.  The 56 working pages fit the 64-entry TLB, so
+    // most reads hit an entry other than the last one used; one read in
+    // 64 lands on a cold data page, so entries are also evicted.
+    static const std::vector<std::uint64_t> addrs = [] {
+      struct Region {
+        std::uint64_t base;
+        std::uint64_t pages;
+      };
+      const Region regions[] = {{rtree::simaddr::kIndexBase, 24},
+                                {rtree::simaddr::kDataBase, 24},
+                                {rtree::simaddr::kScratchBase, 4},
+                                {rtree::simaddr::kNetBase, 4}};
+      const std::uint64_t page_bytes = sim::ServerConfig{}.page_bytes;
+      std::mt19937_64 rng(29);
+      std::vector<std::uint64_t> out(200000);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const Region& r = regions[i % std::size(regions)];
+        const bool cold = rng() % 64 == 0;
+        out[i] = cold ? rtree::simaddr::kDataBase + (24 + rng() % 1000) * page_bytes
+                      : r.base + rng() % (r.pages * page_bytes);
+      }
+      return out;
+    }();
+    sim::ServerCpu cpu{sim::ServerConfig{}};
+    for (const std::uint64_t a : addrs) cpu.read(a, 32);
+    return static_cast<std::uint64_t>(addrs.size());
   });
 
   // --- fleet stepping -------------------------------------------------
