@@ -6,7 +6,7 @@
 #      Fails unless it exits 0, prints 1,000,000 answers, and peaks under
 #      8 GB RSS (the child's ru_maxrss, read by python3's
 #      resource.getrusage(RUSAGE_CHILDREN)).  On a 4-core / 16 GB VM it
-#      takes about 21 s and 2.8 GB (Release).
+#      takes about 15 s and 2.7 GB (Release).
 #   2. 100,000 clients under churn with replication, which exercises the
 #      reassignment path:
 #        mosaiq fleet --fleet-size 100000 --n 2 --query point --churn-rate 0.02

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/query_exec.hpp"
+#include "rng/lazy_mt19937_64.hpp"
 #include "serial/messages.hpp"
 #include "workload/query_gen.hpp"
 
@@ -210,6 +211,8 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   std::vector<double> mark_j(fleet.clients, 0.0);
   std::vector<std::uint64_t> mark_cycles(fleet.clients, 0);
   std::vector<Client> clients(fleet.clients);
+  // Every client runs the same machine: one copy of its constants.
+  const auto client_constants = std::make_shared<const sim::ClientConstants>(base.client);
   auto settle = [&](std::uint32_t k, const char* name, double t0, double t1) {
     Client& c = clients[k];
     const bool span = trace != nullptr && t1 > t0;
@@ -272,7 +275,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
 
   for (std::uint32_t k = 0; k < fleet.clients; ++k) {
     Client& c = clients[k];
-    c.cpu = std::make_unique<sim::ClientCpu>(base.client);
+    c.cpu = std::make_unique<sim::ClientCpu>(client_constants);
     c.nic = net::Nic(base.nic_power, base.channel.distance_m);
     std::uint64_t stream = k;
     // mosaiq-lint: allow(rng-stream-balance) — the engine lives inside the
@@ -281,7 +284,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     if (!hotspot_cdf.empty()) {
       // Pure function of (workload_seed, k): the hotspot a client asks
       // is independent of fleet size and event order.
-      std::mt19937_64 rng(fleet.workload_seed * 0x9e3779b97f4a7c15ULL + k);
+      rng::LazyMt19937_64 rng(fleet.workload_seed * 0x9e3779b97f4a7c15ULL + k);
       std::uniform_real_distribution<double> uniform(0.0, 1.0);
       const auto it =
           std::upper_bound(hotspot_cdf.begin(), hotspot_cdf.end(), uniform(rng));
@@ -300,7 +303,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     if (batteries_on) {
       // Per-client provisioning stream: a pure function of (seed, k),
       // independent of fleet size and event order.
-      std::mt19937_64 rng(fleet.battery.seed * 0x9e3779b97f4a7c15ULL + k + 1);
+      rng::LazyMt19937_64 rng(fleet.battery.seed * 0x9e3779b97f4a7c15ULL + k + 1);
       std::uniform_real_distribution<double> uniform(0.0, 1.0);
       sim::BatteryConfig pack = fleet.battery.pack;
       const double spread = std::clamp(fleet.battery.capacity_spread, 0.0, 0.95);

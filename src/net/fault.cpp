@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "net/channel_model.hpp"
+#include "rng/lazy_mt19937_64.hpp"
 
 namespace mosaiq::net {
 
@@ -99,8 +100,10 @@ double scheduled_departure_s(const ChurnConfig& cfg, std::uint32_t client) {
   // One seeded engine per (seed, client): the draw is independent of
   // fleet event interleaving, so the schedule replays bit-identically
   // and adding clients never perturbs existing departures.  The golden
-  // ratio multiplier decorrelates adjacent client streams.
-  std::mt19937_64 rng(cfg.seed * 0x9e3779b97f4a7c15ULL + client + 1);
+  // ratio multiplier decorrelates adjacent client streams.  The lazy
+  // engine draws std::mt19937_64's sequence without twisting the whole
+  // state for one number.
+  rng::LazyMt19937_64 rng(cfg.seed * 0x9e3779b97f4a7c15ULL + client + 1);
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
   const double u = uniform(rng);
   // Exponential via inversion; -log1p(-u) is exact near u = 0.

@@ -1,8 +1,11 @@
 #include "sim/client_cpu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 namespace mosaiq::sim {
 
@@ -13,47 +16,69 @@ constexpr std::uint64_t kCodeBase = 0x0010'0000ull;
 
 }  // namespace
 
-ClientCpu::ClientCpu(const ClientConfig& cfg) : cfg_(cfg), dcache_(cfg.dcache) {
+ClientConstants::ClientConstants(const ClientConfig& c) : cfg(c) {
   assert(cfg.code_footprint_bytes % 4 == 0);
+  assert(std::has_single_bit(cfg.icache.line_bytes));
   assert(kCodeBase % cfg.icache.line_bytes == 0);
-  table_.icache_nj = cacti_lite_nj(cfg.icache);
-  table_.dcache_nj = cacti_lite_nj(cfg.dcache);
+  table.icache_nj = cacti_lite_nj(cfg.icache);
+  table.dcache_nj = cacti_lite_nj(cfg.dcache);
   // DVFS: dynamic energy scales with the supply voltage squared.
-  table_.alu_nj *= cfg.energy_scale;
-  table_.mul_nj *= cfg.energy_scale;
-  table_.branch_nj *= cfg.energy_scale;
-  table_.mem_op_nj *= cfg.energy_scale;
-  table_.clock_nj *= cfg.energy_scale;
-  table_.icache_nj *= cfg.energy_scale;
-  table_.dcache_nj *= cfg.energy_scale;
-  table_.bus_line_nj *= cfg.energy_scale;
-  table_.dram_line_nj *= cfg.energy_scale;
+  table.alu_nj *= cfg.energy_scale;
+  table.mul_nj *= cfg.energy_scale;
+  table.branch_nj *= cfg.energy_scale;
+  table.mem_op_nj *= cfg.energy_scale;
+  table.clock_nj *= cfg.energy_scale;
+  table.icache_nj *= cfg.energy_scale;
+  table.dcache_nj *= cfg.energy_scale;
+  table.bus_line_nj *= cfg.energy_scale;
+  table.dram_line_nj *= cfg.energy_scale;
+
+  // The walk fetches PCs kCodeBase + 4i from a line-aligned base, so fetch
+  // i starts a line exactly when 4i is a multiple of the line size.
+  fetches_per_line = std::max<std::uint64_t>(cfg.icache.line_bytes / 4, 1);
+  walk_icache_j.assign(cfg.code_footprint_bytes / 4 + 1, 0.0);
+  for (std::size_t i = 1; i < walk_icache_j.size(); ++i) {
+    walk_icache_j[i] = walk_icache_j[i - 1] + table.icache_nj * kNanojoule;
+  }
 }
 
+ClientCpu::ClientCpu(const ClientConfig& cfg)
+    : ClientCpu(std::make_shared<const ClientConstants>(cfg)) {}
+
+ClientCpu::ClientCpu(std::shared_ptr<const ClientConstants> constants)
+    : constants_(std::move(constants)), dcache_(constants_->cfg.dcache) {}
+
 void ClientCpu::fetch(std::uint64_t n) {
-  // The first footprint/4 fetches walk the code footprint once, in order,
-  // from the line-aligned kCodeBase: fetch i misses exactly when its PC
-  // starts an I-cache line, whatever the geometry.  Afterwards the
-  // footprint is resident (16 KB >= 8 KB) and every fetch hits, so only
-  // energy is advanced and the stats stay at their warm values.
-  const std::uint64_t walk = cfg_.code_footprint_bytes / 4;
-  const std::uint64_t line_mask = cfg_.icache.line_bytes - 1;
-  while (n > 0 && icache_stats_.accesses < walk) {
-    const std::uint64_t pc = kCodeBase + 4 * icache_stats_.accesses;
-    ++icache_stats_.accesses;
-    if ((pc & line_mask) == 0) {
-      ++icache_stats_.misses;
-      stall_cycles_ += cfg_.mem_latency_cycles;
-      cycles_ += cfg_.mem_latency_cycles;
-      energy_.bus_j += table_.bus_line_nj * kNanojoule;
-      energy_.dram_j += table_.dram_line_nj * kNanojoule;
-    } else {
-      ++icache_stats_.hits;
+  // The first footprint/4 fetches walk the code footprint once, in order;
+  // afterwards the footprint is resident (16 KB >= 8 KB) and every fetch
+  // hits, so only energy is advanced and the stats stay at their warm
+  // values.  A call's share of the walk is computed in closed form with
+  // the bits of a per-fetch loop: icache_j is written only here, so
+  // during the walk it is always walk_icache_j[accesses]; bus_j and
+  // dram_j only ever add their one constant, one copy per transfer.
+  const ClientConstants& c = *constants_;
+  const std::uint64_t done = icache_stats_.accesses;
+  const std::uint64_t walk = c.walk_icache_j.size() - 1;
+  if (done < walk) {
+    const std::uint64_t steps = std::min(n, walk - done);
+    const std::uint64_t end = done + steps;
+    const std::uint64_t per_line = c.fetches_per_line;
+    // Multiples of per_line in [done, end).
+    const std::uint64_t misses =
+        (end + per_line - 1) / per_line - (done + per_line - 1) / per_line;
+    icache_stats_.accesses = end;
+    icache_stats_.misses += misses;
+    icache_stats_.hits = end - icache_stats_.misses;
+    stall_cycles_ += misses * c.cfg.mem_latency_cycles;
+    cycles_ += misses * c.cfg.mem_latency_cycles;
+    for (std::uint64_t i = 0; i < misses; ++i) {
+      energy_.bus_j += c.table.bus_line_nj * kNanojoule;
+      energy_.dram_j += c.table.dram_line_nj * kNanojoule;
     }
-    energy_.icache_j += table_.icache_nj * kNanojoule;
-    --n;
+    energy_.icache_j = c.walk_icache_j[end];
+    n -= steps;
   }
-  if (n > 0) energy_.icache_j += static_cast<double>(n) * table_.icache_nj * kNanojoule;
+  if (n > 0) energy_.icache_j += static_cast<double>(n) * c.table.icache_nj * kNanojoule;
 }
 
 void ClientCpu::instr(const rtree::InstrMix& mix) {
@@ -62,26 +87,28 @@ void ClientCpu::instr(const rtree::InstrMix& mix) {
   instructions_ += n;
   cycles_ += n;  // single-issue: one cycle per instruction
   fetch(n);
-  energy_.datapath_j += (mix.alu * table_.alu_nj + mix.mul * table_.mul_nj +
-                         mix.branch * table_.branch_nj) *
-                        kNanojoule;
-  energy_.clock_j += static_cast<double>(n) * table_.clock_nj * kNanojoule;
+  const EnergyTable& t = constants_->table;
+  energy_.datapath_j +=
+      (mix.alu * t.alu_nj + mix.mul * t.mul_nj + mix.branch * t.branch_nj) * kNanojoule;
+  energy_.clock_j += static_cast<double>(n) * t.clock_nj * kNanojoule;
 }
 
 void ClientCpu::dcache_line_access(std::uint64_t addr, bool is_write) {
   const auto r = dcache_.access(addr, is_write);
-  energy_.dcache_j += table_.dcache_nj * kNanojoule;
+  const ClientConfig& cfg = constants_->cfg;
+  const EnergyTable& t = constants_->table;
+  energy_.dcache_j += t.dcache_nj * kNanojoule;
   if (!r.hit) {
-    stall_cycles_ += cfg_.mem_latency_cycles;
-    cycles_ += cfg_.mem_latency_cycles;
-    energy_.clock_j +=
-        static_cast<double>(cfg_.mem_latency_cycles) * table_.clock_nj * kNanojoule;
-    energy_.bus_j += table_.bus_line_nj * kNanojoule;
-    energy_.dram_j += table_.dram_line_nj * kNanojoule;
+    stall_cycles_ += cfg.mem_latency_cycles;
+    cycles_ += cfg.mem_latency_cycles;
+    // mosaiq-lint: allow(unit-flow) — clock_nj is the clock tree's energy per cycle
+    energy_.clock_j += static_cast<double>(cfg.mem_latency_cycles) * t.clock_nj * kNanojoule;
+    energy_.bus_j += t.bus_line_nj * kNanojoule;
+    energy_.dram_j += t.dram_line_nj * kNanojoule;
   }
   if (r.writeback) {
-    energy_.bus_j += table_.bus_line_nj * kNanojoule;
-    energy_.dram_j += table_.dram_line_nj * kNanojoule;
+    energy_.bus_j += t.bus_line_nj * kNanojoule;
+    energy_.dram_j += t.dram_line_nj * kNanojoule;
   }
 }
 
@@ -89,51 +116,59 @@ void ClientCpu::read(std::uint64_t addr, std::uint32_t bytes) {
   if (bytes == 0) return;
   // One word-sized load per 4 bytes; one D-cache array access per line
   // touched (sequential words within a line pipeline through it).
-  const std::uint64_t line = cfg_.dcache.line_bytes;
+  const ClientConfig& cfg = constants_->cfg;
+  const EnergyTable& t = constants_->table;
+  const std::uint64_t line = cfg.dcache.line_bytes;
   const std::uint64_t first = addr / line;
   const std::uint64_t last = (addr + bytes - 1) / line;
   const std::uint64_t words = (bytes + 3) / 4;
 
   instructions_ += words;
-  cycles_ += words * cfg_.cache_hit_cycles;
+  cycles_ += words * cfg.cache_hit_cycles;
   fetch(words);
-  energy_.datapath_j += static_cast<double>(words) * table_.mem_op_nj * kNanojoule;
-  energy_.clock_j += static_cast<double>(words) * table_.clock_nj * kNanojoule;
+  energy_.datapath_j += static_cast<double>(words) * t.mem_op_nj * kNanojoule;
+  energy_.clock_j += static_cast<double>(words) * t.clock_nj * kNanojoule;
   // Every word access reads the data array; tag-check misses are resolved
   // at line granularity below.
+  // mosaiq-lint: allow(unsigned-wrap) — bytes > 0, so last >= first
   const std::uint64_t lines = last - first + 1;
   if (words > lines) {
-    energy_.dcache_j += static_cast<double>(words - lines) * table_.dcache_nj * kNanojoule;
+    energy_.dcache_j += static_cast<double>(words - lines) * t.dcache_nj * kNanojoule;
   }
   for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l * line, false);
 }
 
 void ClientCpu::write(std::uint64_t addr, std::uint32_t bytes) {
   if (bytes == 0) return;
-  const std::uint64_t line = cfg_.dcache.line_bytes;
+  const ClientConfig& cfg = constants_->cfg;
+  const EnergyTable& t = constants_->table;
+  const std::uint64_t line = cfg.dcache.line_bytes;
   const std::uint64_t first = addr / line;
   const std::uint64_t last = (addr + bytes - 1) / line;
   const std::uint64_t words = (bytes + 3) / 4;
 
   instructions_ += words;
-  cycles_ += words * cfg_.cache_hit_cycles;
+  cycles_ += words * cfg.cache_hit_cycles;
   fetch(words);
-  energy_.datapath_j += static_cast<double>(words) * table_.mem_op_nj * kNanojoule;
-  energy_.clock_j += static_cast<double>(words) * table_.clock_nj * kNanojoule;
+  energy_.datapath_j += static_cast<double>(words) * t.mem_op_nj * kNanojoule;
+  energy_.clock_j += static_cast<double>(words) * t.clock_nj * kNanojoule;
+  // mosaiq-lint: allow(unsigned-wrap) — bytes > 0, so last >= first
   const std::uint64_t lines = last - first + 1;
   if (words > lines) {
-    energy_.dcache_j += static_cast<double>(words - lines) * table_.dcache_nj * kNanojoule;
+    energy_.dcache_j += static_cast<double>(words - lines) * t.dcache_nj * kNanojoule;
   }
   for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l * line, true);
 }
 
 void ClientCpu::wait_seconds(double seconds, WaitPolicy policy) {
   if (seconds <= 0.0) return;
+  const ClientConfig& cfg = constants_->cfg;
+  const EnergyTable& t = constants_->table;
   switch (policy) {
     case WaitPolicy::BusyPoll: {
       // Spin loop: load the flag, test, branch — 3 instructions + 1 load
       // per iteration, 4 cycles per iteration, all hitting the caches.
-      const auto iters = static_cast<std::uint64_t>(seconds * cfg_.clock_hz() / 4.0);
+      const auto iters = static_cast<std::uint64_t>(seconds * cfg.clock_hz() / 4.0);
       for (std::uint64_t i = 0; i < iters; i += 1u << 16) {
         const std::uint64_t chunk = std::min<std::uint64_t>(1u << 16, iters - i);
         instr(rtree::InstrMix{chunk, 0, chunk});
@@ -143,20 +178,20 @@ void ClientCpu::wait_seconds(double seconds, WaitPolicy policy) {
           instructions_ += chunk - 1;
           cycles_ += chunk - 1;
           fetch(chunk - 1);
-          energy_.datapath_j += static_cast<double>(chunk - 1) * table_.mem_op_nj * kNanojoule;
-          energy_.clock_j += static_cast<double>(chunk - 1) * table_.clock_nj * kNanojoule;
-          energy_.dcache_j += static_cast<double>(chunk - 1) * table_.dcache_nj * kNanojoule;
+          energy_.datapath_j += static_cast<double>(chunk - 1) * t.mem_op_nj * kNanojoule;
+          energy_.clock_j += static_cast<double>(chunk - 1) * t.clock_nj * kNanojoule;
+          energy_.dcache_j += static_cast<double>(chunk - 1) * t.dcache_nj * kNanojoule;
         }
       }
       break;
     }
     case WaitPolicy::Block: {
       // Pipeline stalled but fully clocked.
-      energy_.idle_j += seconds * cfg_.blocked_wait_w;
+      energy_.idle_j += seconds * cfg.blocked_wait_w;
       break;
     }
     case WaitPolicy::BlockLowPower: {
-      energy_.idle_j += seconds * cfg_.lowpower_wait_w;
+      energy_.idle_j += seconds * cfg.lowpower_wait_w;
       break;
     }
   }
@@ -167,7 +202,7 @@ double ClientCpu::average_active_power_w() const {
   const EnergyBreakdown& e = energy_;
   const double active_j =
       e.datapath_j + e.clock_j + e.icache_j + e.dcache_j + e.bus_j + e.dram_j;
-  return active_j / (static_cast<double>(cycles_) / cfg_.clock_hz());
+  return active_j / (static_cast<double>(cycles_) / constants_->cfg.clock_hz());
 }
 
 }  // namespace mosaiq::sim

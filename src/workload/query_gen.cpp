@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
+#include <stdexcept>
 
 namespace mosaiq::workload {
 
@@ -20,11 +22,18 @@ geom::Rect make_window(const geom::Rect& extent, const geom::Point& center, doub
 
 }  // namespace
 
-rtree::PointQuery QueryGen::point_query() {
+std::uint32_t QueryGen::pick_segment() {
+  if (dataset_->store.size() == 0) {
+    throw std::invalid_argument("QueryGen: the dataset has no segments to draw a query from");
+  }
   std::uniform_int_distribution<std::uint32_t> pick(
       0, static_cast<std::uint32_t>(dataset_->store.size() - 1));
+  return pick(rng_);
+}
+
+rtree::PointQuery QueryGen::point_query() {
+  const geom::Segment& s = dataset_->store.segment(pick_segment());
   std::bernoulli_distribution which_end(0.5);
-  const geom::Segment& s = dataset_->store.segment(pick(rng_));
   return {which_end(rng_) ? s.a : s.b};
 }
 
@@ -39,13 +48,11 @@ rtree::KnnQuery QueryGen::knn_query(std::uint32_t k) {
 }
 
 rtree::RouteQuery QueryGen::route_query(std::uint32_t n_waypoints, double leg_len) {
-  std::uniform_int_distribution<std::uint32_t> pick(
-      0, static_cast<std::uint32_t>(dataset_->store.size() - 1));
   std::uniform_real_distribution<double> heading0(0.0, 2 * 3.14159265358979);
   std::normal_distribution<double> drift(0.0, 0.5);
 
   rtree::RouteQuery q;
-  geom::Point p = dataset_->store.segment(pick(rng_)).midpoint();
+  geom::Point p = dataset_->store.segment(pick_segment()).midpoint();
   double heading = heading0(rng_);
   q.waypoints.push_back(p);
   for (std::uint32_t i = 1; i < std::max(2u, n_waypoints); ++i) {
@@ -64,13 +71,11 @@ rtree::RouteQuery QueryGen::route_query(std::uint32_t n_waypoints, double leg_le
 }
 
 rtree::RangeQuery QueryGen::range_query() {
-  std::uniform_int_distribution<std::uint32_t> pick(
-      0, static_cast<std::uint32_t>(dataset_->store.size() - 1));
   // Log-uniform between the paper's bounds: magnification windows span
   // two orders of magnitude, so small windows are as likely as large.
   std::uniform_real_distribution<double> log_area(std::log(1e-4), std::log(1e-2));
   std::uniform_real_distribution<double> log_aspect(std::log(0.25), std::log(4.0));
-  const geom::Point center = dataset_->store.segment(pick(rng_)).midpoint();
+  const geom::Point center = dataset_->store.segment(pick_segment()).midpoint();
   return {make_window(dataset_->extent, center, std::exp(log_area(rng_)),
                       std::exp(log_aspect(rng_)))};
 }

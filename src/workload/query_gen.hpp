@@ -7,14 +7,17 @@
 //     (a random segment midpoint — denser regions draw more windows).
 //
 // The standard experiment batch is 100 runs per query type, each run
-// with fresh parameters; generators are deterministic given a seed.
+// with fresh parameters; generators are deterministic given a seed.  The
+// engine returns std::mt19937_64's sequence for the seed, but seeds and
+// twists lazily: the fleet builds one generator per client for a query
+// or two, and pays for the few state words those draws read.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
+#include "rng/lazy_mt19937_64.hpp"
 #include "rtree/query.hpp"
 #include "workload/dataset.hpp"
 
@@ -49,8 +52,12 @@ class QueryGen {
   std::vector<rtree::Query> knn_batch(std::size_t n, std::uint32_t k);
 
  private:
+  /// A uniformly drawn segment index; throws std::invalid_argument when
+  /// the dataset has no segments.
+  std::uint32_t pick_segment();
+
   const Dataset* dataset_;
-  std::mt19937_64 rng_;
+  rng::LazyMt19937_64 rng_;
 };
 
 /// The Section 6.2 workload: bursts of spatially proximate range

@@ -1,16 +1,24 @@
-// Fixture: determinism-flow — a wall-clock engine seed (the chrono form
-// the token rule misses), a comparator ordering by raw pointer value,
-// and an unordered container copied out through begin()/end() with no
-// sort.
+// Fixture: determinism-flow — wall-clock engine seeds (the chrono form
+// the token rule misses) of a std engine and of the lazily twisted one,
+// a comparator ordering by raw pointer value, and an unordered container
+// copied out through begin()/end() with no sort.
 #include <chrono>
 #include <cstdint>
 #include <random>
 #include <unordered_set>
 #include <vector>
 
+#include "rng/lazy_mt19937_64.hpp"
+
 std::uint32_t wall_seeded() {
   std::mt19937 rng(static_cast<std::uint32_t>(  // BAD: wall-clock seed
       std::chrono::steady_clock::now().time_since_epoch().count()));
+  return rng();
+}
+
+std::uint64_t lazy_wall_seeded() {
+  mosaiq::rng::LazyMt19937_64 rng(static_cast<std::uint64_t>(  // BAD: wall-clock seed
+      std::chrono::system_clock::now().time_since_epoch().count()));
   return rng();
 }
 

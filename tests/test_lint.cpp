@@ -77,6 +77,20 @@ TEST(LintUnsignedWrap, FlagsUnguardedSparesGuardedAndClamped) {
   EXPECT_EQ(lines[1], 32u);
 }
 
+TEST(LintUnsignedWrap, DigitSeparatorsDoNotHideTheRestOfTheFile) {
+  // A lone digit separator once opened a char literal that swallowed
+  // every later line, so nothing after it was checked.
+  auto f = analyze("sep.cpp",
+                   "constexpr std::uint64_t kBase = 0x0010'0000ull;\n"
+                   "std::uint64_t span(std::uint64_t first, std::uint64_t last) {\n"
+                   "  return last - first;\n"
+                   "}\n");
+  std::vector<Finding> findings;
+  run_rules(f, {"unsigned-wrap"}, findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3u);
+}
+
 TEST(LintDeterminism, FlagsSourcesAndUnorderedIteration) {
   const auto fs = lint_fixture("determinism_violation.cpp");
   const auto lines = lines_of(fs, "determinism");

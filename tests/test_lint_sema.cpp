@@ -84,10 +84,11 @@ TEST(LintNestedParallel, SequentialHelpersPass) {
 TEST(LintDeterminismFlow, FlagsClockSeedPointerSortAndUnorderedCopy) {
   const auto fs = drive({"sema/determinism_flow_violation.cpp"}, {"determinism-flow"});
   const auto lines = lines_of(fs, "determinism-flow");
-  ASSERT_EQ(lines.size(), 3u) << mosaiq::lint::format_human(fs);
-  EXPECT_EQ(lines[0], 12u);  // chrono-seeded engine
-  EXPECT_EQ(lines[1], 19u);  // pointer-value comparator
-  EXPECT_EQ(lines[2], 23u);  // begin()/end() copy of an unordered set
+  ASSERT_EQ(lines.size(), 4u) << mosaiq::lint::format_human(fs);
+  EXPECT_EQ(lines[0], 14u);  // chrono-seeded std engine
+  EXPECT_EQ(lines[1], 20u);  // chrono-seeded lazy engine
+  EXPECT_EQ(lines[2], 27u);  // pointer-value comparator
+  EXPECT_EQ(lines[3], 31u);  // begin()/end() copy of an unordered set
 }
 
 TEST(LintDeterminismFlow, SeededSortedAndKeyedPass) {

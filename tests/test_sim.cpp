@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <ostream>
@@ -10,6 +11,7 @@
 
 #include "rtree/exec.hpp"
 #include "sim/client_cpu.hpp"
+#include "sim/dvfs.hpp"
 #include "sim/server_cpu.hpp"
 
 namespace mosaiq::sim {
@@ -92,35 +94,218 @@ TEST(ClientCpu, ICacheWarmsUp) {
   EXPECT_EQ(cold.icache_stats().misses, 13u);  // PCs 0, 32, ..., 384
 }
 
-TEST(ClientCpu, ICacheCountersMatchASimulatedICache) {
-  // Drive a real Cache over the warm-up's PC stream, kCodeBase + 4 i,
-  // wrapping at the footprint, and compare with the closed form.
-  for (const CacheConfig icache : {ClientConfig{}.icache, CacheConfig{16 * 1024, 2, 64},
-                                   CacheConfig{8 * 1024, 1, 16}}) {
-    SCOPED_TRACE(icache.line_bytes);
-    ClientConfig cfg;
-    cfg.icache = icache;
-    ClientCpu cpu{cfg};
-    Cache real(icache);
-    const std::uint64_t walk = cfg.code_footprint_bytes / 4;
-    std::uint64_t fetched = 0;
-    // Steps that cut at 1, 7, 8, 9, 100, 2047, 2048, 2049, 5000 and 20000
-    // fetches: around line starts and the end of the walk.
-    for (const std::uint64_t step : {1, 6, 1, 1, 91, 1947, 1, 1, 2951, 15000}) {
-      cpu.instr(InstrMix{step, 0, 0});
-      const std::uint64_t cut = fetched + step;
-      for (; fetched < cut; ++fetched) real.access(0x10'0000ull + 4 * (fetched % walk), false);
-      const CacheStats& model = cpu.icache_stats();
-      // Every fetch after the walk hits, so the misses never diverge...
-      EXPECT_EQ(model.misses, real.stats().misses) << "cut " << cut;
-      EXPECT_EQ(cpu.stall_cycles(), model.misses * cfg.mem_latency_cycles);
-      // ...and the model's stats freeze once the walk is done.
-      EXPECT_EQ(model.accesses, std::min(cut, walk)) << "cut " << cut;
-      if (cut <= walk) {
-        EXPECT_EQ(model.hits, real.stats().hits) << "cut " << cut;
-        EXPECT_EQ(model.accesses, real.stats().accesses) << "cut " << cut;
+/// The client model with its I-cache warm-up walked one fetch at a time:
+/// each walk fetch adds its I-cache energy and, when its PC starts a
+/// line, one bus and one DRAM transfer.  ClientCpu computes the walk in
+/// closed form and must match this bit for bit.
+class PerFetchClient final : public rtree::ExecHooks {
+ public:
+  explicit PerFetchClient(const ClientConfig& cfg) : cfg_(cfg), dcache_(cfg.dcache) {
+    t_.icache_nj = cacti_lite_nj(cfg.icache) * cfg.energy_scale;
+    t_.dcache_nj = cacti_lite_nj(cfg.dcache) * cfg.energy_scale;
+    for (double* nj : {&t_.alu_nj, &t_.mul_nj, &t_.branch_nj, &t_.mem_op_nj, &t_.clock_nj,
+                       &t_.bus_line_nj, &t_.dram_line_nj}) {
+      *nj *= cfg.energy_scale;
+    }
+  }
+
+  void instr(const InstrMix& mix) override {
+    const std::uint64_t n = mix.total();
+    if (n == 0) return;
+    instructions_ += n;
+    cycles_ += n;
+    fetch(n);
+    e_.datapath_j +=
+        (mix.alu * t_.alu_nj + mix.mul * t_.mul_nj + mix.branch * t_.branch_nj) * kNanojoule;
+    e_.clock_j += static_cast<double>(n) * t_.clock_nj * kNanojoule;
+  }
+  void read(std::uint64_t addr, std::uint32_t bytes) override { access(addr, bytes, false); }
+  void write(std::uint64_t addr, std::uint32_t bytes) override { access(addr, bytes, true); }
+
+  void busy_poll(double seconds) {
+    const auto iters = static_cast<std::uint64_t>(seconds * cfg_.clock_hz() / 4.0);
+    for (std::uint64_t i = 0; i < iters; i += 1u << 16) {
+      const std::uint64_t chunk = std::min<std::uint64_t>(1u << 16, iters - i);
+      instr(InstrMix{chunk, 0, chunk});
+      read(simaddr::kNetBase, 4);
+      if (chunk > 1) {
+        instructions_ += chunk - 1;
+        cycles_ += chunk - 1;
+        fetch(chunk - 1);
+        e_.datapath_j += static_cast<double>(chunk - 1) * t_.mem_op_nj * kNanojoule;
+        e_.clock_j += static_cast<double>(chunk - 1) * t_.clock_nj * kNanojoule;
+        e_.dcache_j += static_cast<double>(chunk - 1) * t_.dcache_nj * kNanojoule;
       }
     }
+  }
+
+  std::uint64_t fetches() const { return fetches_; }  ///< walk or not
+  std::uint64_t instructions() const { return instructions_; }
+  std::uint64_t busy_cycles() const { return cycles_; }
+  std::uint64_t stall_cycles() const { return stalls_; }
+  const EnergyBreakdown& energy() const { return e_; }
+  const CacheStats& icache_stats() const { return icache_; }
+  const CacheStats& dcache_stats() const { return dcache_.stats(); }
+
+ private:
+  void fetch(std::uint64_t n) {
+    fetches_ += n;
+    const std::uint64_t walk = cfg_.code_footprint_bytes / 4;
+    while (n > 0 && icache_.accesses < walk) {
+      const std::uint64_t pc = 0x10'0000ull + 4 * icache_.accesses;
+      ++icache_.accesses;
+      if ((pc & (cfg_.icache.line_bytes - 1)) == 0) {
+        ++icache_.misses;
+        stalls_ += cfg_.mem_latency_cycles;
+        cycles_ += cfg_.mem_latency_cycles;
+        e_.bus_j += t_.bus_line_nj * kNanojoule;
+        e_.dram_j += t_.dram_line_nj * kNanojoule;
+      } else {
+        ++icache_.hits;
+      }
+      e_.icache_j += t_.icache_nj * kNanojoule;
+      --n;
+    }
+    if (n > 0) e_.icache_j += static_cast<double>(n) * t_.icache_nj * kNanojoule;
+  }
+
+  void access(std::uint64_t addr, std::uint32_t bytes, bool is_write) {
+    if (bytes == 0) return;
+    const std::uint64_t line = cfg_.dcache.line_bytes;
+    const std::uint64_t first = addr / line;
+    const std::uint64_t last = (addr + bytes - 1) / line;
+    const std::uint64_t words = (bytes + 3) / 4;
+    instructions_ += words;
+    cycles_ += words * cfg_.cache_hit_cycles;
+    fetch(words);
+    e_.datapath_j += static_cast<double>(words) * t_.mem_op_nj * kNanojoule;
+    e_.clock_j += static_cast<double>(words) * t_.clock_nj * kNanojoule;
+    const std::uint64_t lines = last - first + 1;
+    if (words > lines) {
+      e_.dcache_j += static_cast<double>(words - lines) * t_.dcache_nj * kNanojoule;
+    }
+    for (std::uint64_t l = first; l <= last; ++l) {
+      const auto r = dcache_.access(l * line, is_write);
+      e_.dcache_j += t_.dcache_nj * kNanojoule;
+      if (!r.hit) {
+        stalls_ += cfg_.mem_latency_cycles;
+        cycles_ += cfg_.mem_latency_cycles;
+        e_.clock_j += static_cast<double>(cfg_.mem_latency_cycles) * t_.clock_nj * kNanojoule;
+        e_.bus_j += t_.bus_line_nj * kNanojoule;
+        e_.dram_j += t_.dram_line_nj * kNanojoule;
+      }
+      if (r.writeback) {
+        e_.bus_j += t_.bus_line_nj * kNanojoule;
+        e_.dram_j += t_.dram_line_nj * kNanojoule;
+      }
+    }
+  }
+
+  ClientConfig cfg_;
+  EnergyTable t_;
+  Cache dcache_;
+  CacheStats icache_;
+  std::uint64_t fetches_ = 0;
+  std::uint64_t instructions_ = 0;
+  std::uint64_t cycles_ = 0;
+  std::uint64_t stalls_ = 0;
+  EnergyBreakdown e_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(ClientCpu, ICacheCountersMatchASimulatedICache) {
+  // Drive the closed-form warm-up, the per-fetch walk and a real Cache
+  // over the walk's PC stream, kCodeBase + 4 i wrapping at the footprint,
+  // through the same calls; compare after every call.
+  ClientConfig dvfs = client_at_opp(default_opp_ladder().front());
+  ASSERT_NE(dvfs.energy_scale, 1.0);
+  std::vector<ClientConfig> configs = {ClientConfig{}, dvfs};
+  for (const CacheConfig icache : {CacheConfig{16 * 1024, 2, 64}, CacheConfig{8 * 1024, 1, 16}}) {
+    configs.push_back(ClientConfig{});
+    configs.back().icache = icache;
+  }
+  struct Step {
+    char op;  // 'i' instr, 'r' read, 'w' write, 'p' busy poll
+    std::uint64_t n;  // instructions, bytes, or nanoseconds of polling
+    std::uint64_t addr = 0;
+  };
+  // At 125 MHz the calls end after 1, 7, 8, 9, 34, 100, 116, 209, 300,
+  // 309, 2047, 2049, 2050, ... fetches: reads and writes that miss the
+  // D-cache and a busy-poll wait land in the middle of the 2048-fetch
+  // walk, a write straddles its end, and the 32 KB read writes the dirty
+  // lines back.
+  const std::vector<Step> steps = {
+      {'i', 1},    {'i', 6},   {'r', 4, simaddr::kDataBase},
+      {'i', 1},    {'w', 100, simaddr::kScratchBase},
+      {'i', 66},   {'r', 64, simaddr::kDataBase + 3 * 8192 + 30},
+      {'p', 1000}, {'i', 91},  {'w', 36, simaddr::kScratchBase + 4096 + 4},
+      {'i', 1738}, {'w', 8, simaddr::kScratchBase + 200},
+      {'i', 1},    {'r', 32 * 1024, simaddr::kDataBase + 64 * 1024},
+      {'i', 2951}, {'p', 500000},  {'i', 15000}};
+  for (const ClientConfig& cfg : configs) {
+    SCOPED_TRACE(::testing::Message() << "line " << cfg.icache.line_bytes << " energy_scale "
+                                      << cfg.energy_scale);
+    ClientCpu cpu{cfg};
+    PerFetchClient ref{cfg};
+    Cache real(cfg.icache);
+    const std::uint64_t walk = cfg.code_footprint_bytes / 4;
+    std::uint64_t fetched = 0;
+    for (const Step& step : steps) {
+      switch (step.op) {
+        case 'i':
+          cpu.instr(InstrMix{step.n, 0, 0});
+          ref.instr(InstrMix{step.n, 0, 0});
+          break;
+        case 'r':
+          cpu.read(step.addr, static_cast<std::uint32_t>(step.n));
+          ref.read(step.addr, static_cast<std::uint32_t>(step.n));
+          break;
+        case 'w':
+          cpu.write(step.addr, static_cast<std::uint32_t>(step.n));
+          ref.write(step.addr, static_cast<std::uint32_t>(step.n));
+          break;
+        default:
+          cpu.wait_seconds(1e-9 * static_cast<double>(step.n), WaitPolicy::BusyPoll);
+          ref.busy_poll(1e-9 * static_cast<double>(step.n));
+          break;
+      }
+      for (; fetched < ref.fetches(); ++fetched) {
+        real.access(0x10'0000ull + 4 * (fetched % walk), false);
+      }
+      SCOPED_TRACE(::testing::Message() << "after " << fetched << " fetches");
+      const CacheStats& model = cpu.icache_stats();
+      // Every fetch after the walk hits, so the misses never diverge...
+      EXPECT_EQ(model.misses, real.stats().misses);
+      // ...and the model's stats freeze once the walk is done.
+      EXPECT_EQ(model.accesses, std::min(fetched, walk));
+      if (fetched <= walk) {
+        EXPECT_EQ(model.hits, real.stats().hits);
+        EXPECT_EQ(model.accesses, real.stats().accesses);
+      }
+
+      EXPECT_EQ(model.accesses, ref.icache_stats().accesses);
+      EXPECT_EQ(model.hits, ref.icache_stats().hits);
+      EXPECT_EQ(model.misses, ref.icache_stats().misses);
+      EXPECT_EQ(model.writebacks, ref.icache_stats().writebacks);
+      EXPECT_EQ(cpu.dcache_stats().misses, ref.dcache_stats().misses);
+      EXPECT_EQ(cpu.dcache_stats().writebacks, ref.dcache_stats().writebacks);
+      EXPECT_EQ(cpu.instructions(), ref.instructions());
+      EXPECT_EQ(cpu.busy_cycles(), ref.busy_cycles());
+      EXPECT_EQ(cpu.stall_cycles(), ref.stall_cycles());
+      const EnergyBreakdown& a = cpu.energy();
+      const EnergyBreakdown& b = ref.energy();
+      EXPECT_EQ(bits(a.datapath_j), bits(b.datapath_j));
+      EXPECT_EQ(bits(a.clock_j), bits(b.clock_j));
+      EXPECT_EQ(bits(a.icache_j), bits(b.icache_j));
+      EXPECT_EQ(bits(a.dcache_j), bits(b.dcache_j));
+      EXPECT_EQ(bits(a.bus_j), bits(b.bus_j));
+      EXPECT_EQ(bits(a.dram_j), bits(b.dram_j));
+      EXPECT_EQ(bits(a.idle_j), bits(b.idle_j));
+    }
+    // The steps reached the D-cache paths the walk interleaves with.
+    EXPECT_GT(ref.dcache_stats().writebacks, 0u);
+    EXPECT_GT(fetched, walk);
   }
 }
 

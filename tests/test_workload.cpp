@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <vector>
+
+#include "rng/lazy_mt19937_64.hpp"
 #include "workload/dataset.hpp"
 #include "workload/query_gen.hpp"
 
@@ -115,6 +124,81 @@ TEST(QueryGen, BatchesAreReproducible) {
   for (std::size_t i = 0; i < b1.size(); ++i) {
     EXPECT_EQ(std::get<rtree::RangeQuery>(b1[i]).window,
               std::get<rtree::RangeQuery>(b2[i]).window);
+  }
+}
+
+TEST(QueryGen, EmptyDatasetThrowsInsteadOfIndexing) {
+  const Dataset d = make_pa(0);
+  ASSERT_EQ(d.store.size(), 0u);
+  QueryGen gen(d, 1);
+  EXPECT_THROW(gen.point_query(), std::invalid_argument);
+  EXPECT_THROW(gen.range_query(), std::invalid_argument);
+  EXPECT_THROW(gen.route_query(), std::invalid_argument);
+  EXPECT_THROW(gen.batch(rtree::QueryKind::Point, 3), std::invalid_argument);
+}
+
+// --- the lazily twisted engine ------------------------------------------
+
+/// 101 distinct seeds: 0, 2^64 - 1, the std default seed, two fleet
+/// QueryGen streams (seed * 1000 + stream), and the fleet's per-client
+/// forms seed * golden + k (hotspots) and seed * golden + k + 1 (churn,
+/// batteries) for k < 24, each form with two base seeds of its own.
+std::vector<std::uint64_t> engine_seeds() {
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  std::vector<std::uint64_t> seeds = {0, ~std::uint64_t{0}, 5489, 3000, 3001};
+  for (std::uint64_t k = 0; k < 24; ++k) {
+    for (const std::uint64_t base : {std::uint64_t{1}, std::uint64_t{20031}}) {
+      seeds.push_back(base * kGolden + k);
+    }
+    for (const std::uint64_t base : {std::uint64_t{5}, std::uint64_t{6}}) {
+      seeds.push_back(base * kGolden + k + 1);
+    }
+  }
+  return seeds;
+}
+
+TEST(LazyMt19937_64, RawOutputsMatchStdMt19937_64) {
+  // 10^4 draws cross the lazy first block (156 outputs), the first full
+  // twist (312) and later blocks (624, ...).
+  std::vector<std::uint64_t> seeds = engine_seeds();
+  std::sort(seeds.begin(), seeds.end());
+  ASSERT_EQ(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  ASSERT_GE(seeds.size(), 100u);
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 want(seed);
+    rng::LazyMt19937_64 got(seed);
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t w = want();
+      const std::uint64_t g = got();
+      if (w != g) {
+        ADD_FAILURE() << "seed " << seed << " draw " << i << ": " << g << " != " << w;
+        break;
+      }
+    }
+  }
+}
+
+TEST(LazyMt19937_64, QueryGenDistributionsMatchStdMt19937_64) {
+  // The distributions QueryGen draws, interleaved as a query batch would,
+  // read the same values from either engine.
+  for (const std::uint64_t seed : engine_seeds()) {
+    std::mt19937_64 want(seed);
+    rng::LazyMt19937_64 got(seed);
+    std::uniform_int_distribution<std::uint32_t> pick(0, 139005);
+    std::bernoulli_distribution end(0.5);
+    std::uniform_real_distribution<double> log_area(std::log(1e-4), std::log(1e-2));
+    std::normal_distribution<double> drift_w(0.0, 0.5);
+    std::normal_distribution<double> drift_g(0.0, 0.5);  // caches its second value
+    for (int i = 0; i < 2500; ++i) {
+      ASSERT_EQ(pick(got), pick(want)) << "seed " << seed << " step " << i;
+      ASSERT_EQ(end(got), end(want)) << "seed " << seed << " step " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(log_area(got)),
+                std::bit_cast<std::uint64_t>(log_area(want)))
+          << "seed " << seed << " step " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(drift_g(got)),
+                std::bit_cast<std::uint64_t>(drift_w(want)))
+          << "seed " << seed << " step " << i;
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "core/fleet.hpp"
 #include "core/session.hpp"
 #include "net/fault.hpp"
+#include "net/protocol.hpp"
 #include "perf/build_cache.hpp"
 #include "perf/benchmark.hpp"
 #include "rtree/buddy_tree.hpp"
@@ -31,6 +32,7 @@
 #include "rtree/shipment.hpp"
 #include "serial/buffer.hpp"
 #include "serial/messages.hpp"
+#include "sim/client_cpu.hpp"
 #include "sim/config.hpp"
 #include "sim/server_cpu.hpp"
 #include "stats/parallel.hpp"
@@ -235,6 +237,30 @@ void register_all_benchmarks() {
     sim::ServerCpu cpu{sim::ServerConfig{}};
     for (const std::uint64_t a : addrs) cpu.read(a, 32);
     return static_cast<std::uint64_t>(addrs.size());
+  });
+
+  add("sim/client_fetch_warmup", [] { data(); }, [] {
+    // Client start-up the way run_fleet pays it: 10,000 clients of one
+    // config sharing one ClientConstants, each charged the protocol work
+    // of one FullyAtServer point request and its one-answer response,
+    // which walks most of the I-cache warm-up.
+    static const net::WireCost request = [] {
+      serial::QueryRequest req;
+      req.op = serial::RemoteOp::FullQuery;
+      req.query = queries(rtree::QueryKind::Point, 1).front();
+      return net::wire_cost(req.encoded_size());
+    }();
+    const net::WireCost response = net::wire_cost(4 + 4);
+    const auto constants = std::make_shared<const sim::ClientConstants>(
+        session_config(core::Scheme::FullyAtServer).client);
+    std::vector<std::unique_ptr<sim::ClientCpu>> clients;
+    clients.reserve(10000);
+    for (int k = 0; k < 10000; ++k) {
+      clients.push_back(std::make_unique<sim::ClientCpu>(constants));
+      net::charge_protocol_tx(request, *clients.back());
+      net::charge_protocol_rx(response, *clients.back());
+    }
+    return static_cast<std::uint64_t>(clients.size());
   });
 
   // --- fleet stepping -------------------------------------------------

@@ -115,10 +115,12 @@ std::vector<Token> lex(std::string_view src) {
 
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && i + 1 < src.size() && std::isdigit(static_cast<unsigned char>(src[i + 1])))) {
-      // pp-number: digits, idents, dots, and exponent signs.
+      // pp-number: digits, idents, dots, exponent signs, and digit
+      // separators (0x10'0000), which must not open a char literal.
       std::size_t j = i;
       while (j < src.size() &&
              (ident_char(src[j]) || src[j] == '.' ||
+              (src[j] == '\'' && j + 1 < src.size() && ident_char(src[j + 1])) ||
               ((src[j] == '+' || src[j] == '-') && j > i &&
                (src[j - 1] == 'e' || src[j - 1] == 'E' || src[j - 1] == 'p' ||
                 src[j - 1] == 'P')))) {

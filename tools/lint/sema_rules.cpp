@@ -452,7 +452,8 @@ void check_determinism_flow(const Sema& s, const CrossIndex& ix, std::vector<Fin
   // time()/clock(); this catches the chrono forms flowing into a seed.
   static const std::set<std::string> kEngines = {
       "mt19937",        "mt19937_64", "minstd_rand",           "minstd_rand0",
-      "default_random_engine", "knuth_b", "ranlux24_base",     "ranlux48_base"};
+      "default_random_engine", "knuth_b", "ranlux24_base",     "ranlux48_base",
+      "LazyMt19937_64"};
   static const std::set<std::string> kClocky = {"now", "system_clock", "steady_clock",
                                                 "high_resolution_clock"};
   auto clocky_in = [&](std::size_t b, std::size_t e) -> bool {

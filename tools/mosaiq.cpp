@@ -11,8 +11,11 @@
 #include <sstream>
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "cli/args.hpp"
 #include "core/adaptive_session.hpp"
@@ -31,6 +34,12 @@ using namespace mosaiq;
 namespace {
 
 workload::Dataset load_dataset(const std::string& name, std::int64_t segments) {
+  constexpr std::int64_t kMaxSegments = std::numeric_limits<std::uint32_t>::max();
+  if (segments > kMaxSegments) {
+    throw std::invalid_argument("--segments " + std::to_string(segments) +
+                                " is out of range (at most " + std::to_string(kMaxSegments) +
+                                ")");
+  }
   if (name == "pa") {
     return workload::make_pa(segments > 0 ? static_cast<std::uint32_t>(segments) : 139006);
   }
