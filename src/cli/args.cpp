@@ -1,5 +1,6 @@
 #include "cli/args.hpp"
 
+#include <limits>
 #include <sstream>
 
 namespace mosaiq::cli {
@@ -116,6 +117,10 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   return i;
 }
 
+std::uint32_t ArgParser::get_u32(const std::string& name) const {
+  return parse_u32(name, get(name));
+}
+
 bool ArgParser::get_flag(const std::string& name) const { return values_.contains(name); }
 
 std::string ArgParser::usage() const {
@@ -142,6 +147,22 @@ std::string ArgParser::usage() const {
     }
   }
   return os.str();
+}
+
+std::uint32_t parse_u32(const std::string& name, const std::string& value) {
+  const std::string out_of_range = "--" + name + " " + value + " is out of range";
+  std::size_t pos = 0;
+  std::int64_t v = 0;
+  try {
+    v = std::stoll(value, &pos);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument(out_of_range);
+  }
+  if (pos != value.size()) throw std::invalid_argument("--" + name + ": not an integer: " + value);
+  if (v < 0 || v > std::int64_t{std::numeric_limits<std::uint32_t>::max()}) {
+    throw std::invalid_argument(out_of_range);
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 ArgParser& add_observability_options(ArgParser& p) {

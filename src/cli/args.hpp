@@ -42,6 +42,9 @@ class ArgParser {
   std::string get(const std::string& name) const;
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// A count or size option: throws std::invalid_argument ("--<name>
+  /// <value> is out of range") unless the value is in [0, UINT32_MAX].
+  std::uint32_t get_u32(const std::string& name) const;
   bool get_flag(const std::string& name) const;
   const std::vector<std::string>& positionals() const { return positional_values_; }
 
@@ -58,6 +61,10 @@ class ArgParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_values_;
 };
+
+/// get_u32's check for a value that did not come from one option
+/// (e.g. one token of a comma-separated list given as --<name>).
+std::uint32_t parse_u32(const std::string& name, const std::string& value);
 
 /// Registers the shared observability options ("--trace-out" for Chrome
 /// trace_event JSON, "--metrics-out" for the per-phase aggregate CSV;

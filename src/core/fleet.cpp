@@ -22,23 +22,11 @@
 
 #include "core/query_exec.hpp"
 #include "rng/lazy_mt19937_64.hpp"
-#include "serial/messages.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::core {
 
 namespace {
-
-/// One client's per-query communication demands (computed when the
-/// query's client-side work runs).
-struct Demand {
-  double tx_air_s = 0;
-  double rx_air_s = 0;
-  std::uint64_t tx_payload_bytes = 0;  // request payload (for fault re-planning)
-  std::uint64_t rx_payload_bytes = 0;  // response payload (for fault re-planning)
-  bool remote = false;
-  std::vector<std::uint32_t> candidates;  // for refine-at-server schemes
-};
 
 /// One query somebody must answer.  With replication the same unit
 /// sits in several clients' queues; the first completion wins and
@@ -86,7 +74,9 @@ struct Client {
   double issue_time = 0;      ///< when the in-flight unit was issued
   int stage = 0;              ///< progress within the in-flight unit
   Scheme scheme = Scheme::FullyAtClient;  ///< scheme for the in-flight unit
-  Demand demand;
+  std::vector<std::uint32_t> candidates;  ///< in-flight unit's, between steps
+  std::uint64_t request_bytes = 0;        ///< in-flight request payload
+  std::uint64_t response_bytes = 0;       ///< in-flight response payload
   std::vector<double> latencies;
   std::uint64_t answers = 0;
   std::uint64_t answers_at_issue = 0;  ///< rollback point for a lost exchange
@@ -169,8 +159,6 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
                        const FleetConfig& fleet) {
   validate_config(base);
   const double bits_per_s = base.channel.bandwidth_mbps * 1e6;
-  const std::uint64_t ctrl = net::control_bytes(0, base.protocol);
-  const double t_ctrl_s = static_cast<double>(ctrl * 8) / bits_per_s;
 
   // One seeded fault process for the one shared medium; legs consult it
   // in event order, which the queue's (time, client) tie-break makes
@@ -179,10 +167,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   if (base.fault.enabled()) fault.emplace(base.fault);
   std::uint32_t degraded = 0;
   std::uint32_t failed = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t timeouts = 0;
-  double wasted_tx_j = 0;
-  double wasted_rx_j = 0;
+  LinkFaultTally link_faults;
 
   const bool batteries_on = fleet.battery.enabled;
   const bool deaths_on = batteries_on && fleet.battery.deaths;
@@ -335,109 +320,11 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     }
   }
 
-  // Full local execution on client c (the FullyAtClient scheme; also
-  // the degraded fallback when a data-holding client loses the link).
-  auto run_local_full = [&](Client& c, const rtree::Query& q) {
-    const double busy0 = c.cpu->busy_seconds();
-    if (const auto* kq = std::get_if<rtree::KnnQuery>(&q)) {
-      c.answers += dataset.tree.nearest_k(kq->p, kq->k, dataset.store, *c.cpu).size();
-    } else if (const auto* nq = std::get_if<rtree::NNQuery>(&q)) {
-      if (dataset.tree.nearest(nq->p, dataset.store, *c.cpu)) ++c.answers;
-    } else {
-      std::vector<std::uint32_t> cand;
-      std::vector<std::uint32_t> ids;
-      filter_query(dataset, q, *c.cpu, cand);
-      refine_query(dataset, q, cand, *c.cpu, ids);
-      c.answers += ids.size();
-    }
-    return c.cpu->busy_seconds() - busy0;
-  };
-
-  // Client-side w1: compute + protocol-tx; fills in c.demand.
-  auto run_client_work = [&](Client& c, const rtree::Query& q) {
-    c.demand = Demand{};
-    const double busy0 = c.cpu->busy_seconds();
-
-    if (c.scheme == Scheme::FullyAtClient) {
-      return run_local_full(c, q);
-    }
-
-    // Remote schemes: client-side portion + request assembly.
-    serial::QueryRequest req;
-    req.client_has_data = base.placement.data_at_client;
-    req.query = q;
-    if (c.scheme == Scheme::FilterClientRefineServer) {
-      req.op = serial::RemoteOp::RefineOnly;
-      filter_query(dataset, q, *c.cpu, c.demand.candidates);
-      req.candidates = c.demand.candidates;
-    } else {
-      req.op = c.scheme == Scheme::FilterServerRefineClient ? serial::RemoteOp::FilterOnly
-                                                            : serial::RemoteOp::FullQuery;
-    }
-    const net::WireCost tx = net::wire_cost(req.encoded_size(), base.protocol);
-    net::charge_protocol_tx(tx, *c.cpu);
-    c.demand.remote = true;
-    c.demand.tx_payload_bytes = req.encoded_size();
-    c.demand.tx_air_s = static_cast<double>((tx.wire_bytes + ctrl) * 8) / bits_per_s;
-    return c.cpu->busy_seconds() - busy0;
-  };
-
-  // Server-side w2 for client c's in-flight query; returns server
-  // seconds and fills the response airtime.
-  auto run_server_work = [&](Client& c, const rtree::Query& q) {
-    const std::uint64_t s0 = server.cycles();
-    std::vector<std::uint32_t> cand;
-    std::vector<std::uint32_t> ids;
-    std::uint64_t rx_payload = 0;
-
-    if (c.scheme == Scheme::FullyAtServer) {
-      if (const auto* kq = std::get_if<rtree::KnnQuery>(&q)) {
-        for (const auto& r : dataset.tree.nearest_k(kq->p, kq->k, dataset.store, server)) {
-          ids.push_back(r.id);
-        }
-      } else if (const auto* nq = std::get_if<rtree::NNQuery>(&q)) {
-        if (const auto nn = dataset.tree.nearest(nq->p, dataset.store, server)) {
-          ids.push_back(nn->id);
-        }
-      } else {
-        filter_query(dataset, q, server, cand);
-        refine_query(dataset, q, cand, server, ids);
-      }
-      c.answers += ids.size();
-      rx_payload = 4 + ids.size() * (base.placement.data_at_client
-                                         ? 4ull
-                                         : std::uint64_t{rtree::kRecordBytes});
-    } else if (c.scheme == Scheme::FilterClientRefineServer) {
-      refine_query(dataset, q, c.demand.candidates, server, ids);
-      c.answers += ids.size();
-      rx_payload = 4 + ids.size() * (base.placement.data_at_client
-                                         ? 4ull
-                                         : std::uint64_t{rtree::kRecordBytes});
-    } else {  // FilterServerRefineClient
-      filter_query(dataset, q, server, cand);
-      c.demand.candidates = cand;
-      rx_payload = 4 + cand.size() * 4ull;
-    }
-
-    const net::WireCost rx = net::wire_cost(rx_payload, base.protocol);
-    net::charge_protocol_tx(rx, server);
-    c.demand.rx_payload_bytes = rx_payload;
-    c.demand.rx_air_s = static_cast<double>((rx.wire_bytes + ctrl) * 8) / bits_per_s;
-    return static_cast<double>(server.cycles() - s0) / base.server.clock_hz();
-  };
-
-  // Client-side w3: unpack + (for filter@server) local refinement.
-  auto run_client_finish = [&](Client& c, const rtree::Query& q) {
-    const double busy0 = c.cpu->busy_seconds();
-    const net::WireCost rx = net::wire_cost(
-        static_cast<std::uint64_t>(c.demand.rx_air_s * bits_per_s / 8), base.protocol);
-    net::charge_protocol_rx(rx, *c.cpu);
-    if (c.scheme == Scheme::FilterServerRefineClient) {
-      std::vector<std::uint32_t> ids;
-      refine_query(dataset, q, c.demand.candidates, *c.cpu, ids);
-      c.answers += ids.size();
-    }
-    return c.cpu->busy_seconds() - busy0;
+  // The in-flight unit's Table-1 steps: the same executor the Session
+  // runs, with the candidates parked on the client between stages.
+  auto steps_of = [&](Client& c, Scheme scheme) {
+    return SchemeSteps(dataset, units[c.current].query, scheme, base.placement.data_at_client,
+                       c.candidates);
   };
 
   // --- event loop -------------------------------------------------------
@@ -532,7 +419,6 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // its next unit — a dead link must never stall the fleet.
   auto finish_off_network = [&](std::uint32_t k, double now) {
     Client& c = clients[k];
-    const rtree::Query& q = units[c.current].query;
     // Discard answers the server may have counted during this exchange
     // (stage 2 runs before a downlink loss is known): the client never
     // received them, and the local re-run below recounts from scratch.
@@ -541,7 +427,9 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     if (base.placement.data_at_client) {
       ++degraded;
       if (trace != nullptr) trace->counter("degraded-queries", 1);
-      const double dt = run_local_full(c, q);
+      const double busy0 = c.cpu->busy_seconds();
+      steps_of(c, Scheme::FullyAtClient).client_w1(*c.cpu, c.answers);
+      const double dt = c.cpu->busy_seconds() - busy0;
       c.nic.spend(net::NicState::Sleep, dt);
       done = now + dt;
       settle(k, "degraded-local", now, done);
@@ -559,44 +447,29 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   };
 
   // Stage 1 (uplink) or 3 (downlink): the leg claims the half-duplex
-  // medium, a FIFO resource, and holds it until the message is through.
-  // A clean link is a default plan (delivered first time, no waits,
-  // nothing wasted) over the airtime priced at w1/w2; a faulty link
-  // plans the retransmission episode against the shared fault model.
+  // medium, a FIFO resource, and holds it until the message and its
+  // delayed ACKs are through.  The leg is priced and booked exactly as
+  // the Session transport prices and books it.
   auto medium_leg = [&](std::uint32_t k, double now) {
     Client& c = clients[k];
     const bool up = c.stage == 1;
-    double start = std::max(now, medium_free);
-    if (up) start += c.nic.sleep_exit();  // the radio wakes to send
-    net::TransferPlan plan;
-    double air_s = up ? c.demand.tx_air_s : c.demand.rx_air_s;
-    if (fault) {
-      const std::uint64_t payload = up ? c.demand.tx_payload_bytes : c.demand.rx_payload_bytes;
-      plan = net::plan_transfer(*fault, payload, base.protocol.mtu_bytes,
-                                base.protocol.header_bytes, bits_per_s, base.retry, start);
-      air_s = plan.air_s + t_ctrl_s;
-    }
-    const double end = start + air_s + plan.wait_s;
-    medium_free = end;  // the retransmission episode holds the channel
-    medium_busy += air_s;
+    const double start = std::max(now, medium_free);
     c.nic.spend(net::NicState::Idle, start - now);
+    c.cpu->wait_seconds(start - now, base.wait_policy);
     settle(k, "medium-wait", now, start);
     if (trace != nullptr) trace->counter("medium-wait-s", start - now);
-    c.nic.spend(up ? net::NicState::Transmit : net::NicState::Receive, air_s);
-    c.nic.spend(net::NicState::Idle, plan.wait_s);
-    c.cpu->wait_seconds(end - now, base.wait_policy);
+    // The radio wakes to send; as in the transport, the CPU is not
+    // charged for the wake-up.
+    const double air_from = up ? start + c.nic.sleep_exit() : start;
+    const MessageLeg leg =
+        price_leg(up, up ? c.request_bytes : c.response_bytes, base.protocol, bits_per_s,
+                  fault ? &*fault : nullptr, base.retry, air_from);
+    const double end = air_from + book_leg(leg, c.nic, *c.cpu, base.wait_policy);
+    medium_free = end;  // the retransmission episode holds the channel
+    medium_busy += leg.air_s + leg.ack_s;
     settle(k, up ? "tx" : "rx", start, end);
-    retransmissions += plan.retransmissions;
-    timeouts += plan.timeouts;
-    const double leg_mw = up ? c.nic.power().tx_mw(c.nic.distance_m()) : c.nic.power().rx_mw;
-    const double leg_wasted_j = 1e-3 * leg_mw * plan.wasted_air_s;
-    (up ? wasted_tx_j : wasted_rx_j) += leg_wasted_j;
-    if (trace != nullptr && plan.timeouts > 0) {
-      trace->counter("retransmissions", plan.retransmissions);
-      trace->counter("timeouts", plan.timeouts);
-      trace->counter(up ? "wasted-tx-j" : "wasted-rx-j", leg_wasted_j);
-    }
-    if (!plan.delivered) {
+    link_faults.add(leg, c.nic, trace);
+    if (!leg.plan.delivered) {
       finish_off_network(k, end);
       return;
     }
@@ -686,7 +559,6 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
         c.current = c.work.front();
         c.work.pop_front();
         c.active = true;
-        const rtree::Query& q = units[c.current].query;
         c.issue_time = ev.time;
         c.answers_at_issue = c.answers;
         c.energy_at_issue_j = c.cpu->energy().total_j() + c.nic.total_joules();
@@ -695,14 +567,20 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
           // answers with the scheme, spending its own cycles on the
           // planner probe (the decision moved off-device).
           sched->report_charge(ev.id, batteries_on ? c.battery.remaining_fraction() : 1.0);
-          c.scheme = sched->choose(ev.id, q, server);
+          c.scheme = sched->choose(ev.id, units[c.current].query, server);
         } else {
           c.scheme = base.scheme;
         }
-        const double dt = run_client_work(c, q);
+        // w1, then (remote schemes) the request's protocol work.
+        const double busy0 = c.cpu->busy_seconds();
+        c.request_bytes = steps_of(c, c.scheme).client_w1(*c.cpu, c.answers);
+        if (uses_server(c.scheme)) {
+          net::charge_protocol_tx(net::wire_cost(c.request_bytes, base.protocol), *c.cpu);
+        }
+        const double dt = c.cpu->busy_seconds() - busy0;
         c.nic.spend(net::NicState::Sleep, dt);
         settle(ev.id, "w1-compute", ev.time, ev.time + dt);
-        if (!c.demand.remote) {
+        if (!uses_server(c.scheme)) {
           // Fully at client: the query is done.
           complete_unit(ev.id, ev.time + dt);
           next_or_park(ev.id, ev.time + dt);
@@ -720,7 +598,12 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
         const double start = std::max(ev.time, server_free);
         settle(ev.id, "server-queue", ev.time, start);
         if (trace != nullptr) trace->counter("server-queue-wait-s", start - ev.time);
-        const double dt = run_server_work(c, units[c.current].query);
+        const std::uint64_t s0 = server.cycles();
+        net::charge_protocol_rx(net::wire_cost(c.request_bytes, base.protocol), server);
+        c.response_bytes = steps_of(c, c.scheme).server_w2(server, c.answers);
+        net::charge_protocol_tx(net::wire_cost(c.response_bytes, base.protocol), server);
+        // mosaiq-lint: allow(unsigned-wrap) — cycles() is a cumulative counter
+        const double dt = static_cast<double>(server.cycles() - s0) / base.server.clock_hz();
         const double end = start + dt;
         server_free = end;
         server_busy += dt;
@@ -731,8 +614,11 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
         events.push(Event{end, ev.id, kClientStage});
         break;
       }
-      case 4: {  // unpack / refine locally, complete
-        const double dt = run_client_finish(c, units[c.current].query);
+      case 4: {  // unpack, w3, complete
+        const double busy0 = c.cpu->busy_seconds();
+        net::charge_protocol_rx(net::wire_cost(c.response_bytes, base.protocol), *c.cpu);
+        steps_of(c, c.scheme).client_w3(*c.cpu, c.answers);
+        const double dt = c.cpu->busy_seconds() - busy0;
         c.nic.spend(net::NicState::Sleep, dt);
         const double done = ev.time + dt;
         settle(ev.id, "w3-unpack", ev.time, done);
@@ -796,16 +682,19 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     out.p95_latency_s = all[static_cast<std::size_t>(0.95 * (all.size() - 1))];
   }
   out.mean_client_energy_j = energy / std::max<std::size_t>(1, clients.size());
-  if (makespan > 0) {
-    out.medium_utilization = medium_busy / makespan;
-    out.server_utilization = server_busy / makespan;
-  }
+  // Busy time also counts legs and server work of units that later
+  // failed or were lost, so each resource is measured until its last
+  // release when that comes after the last completion: at most 100%.
+  const double medium_span_s = std::max(makespan, medium_free);
+  const double server_span_s = std::max(makespan, server_free);
+  if (medium_span_s > 0) out.medium_utilization = medium_busy / medium_span_s;
+  if (server_span_s > 0) out.server_utilization = server_busy / server_span_s;
   out.queries_degraded = degraded;
   out.queries_failed = failed;
-  out.retransmissions = retransmissions;
-  out.timeouts = timeouts;
-  out.wasted_tx_j = wasted_tx_j;
-  out.wasted_rx_j = wasted_rx_j;
+  out.retransmissions = link_faults.retransmissions;
+  out.timeouts = link_faults.timeouts;
+  out.wasted_tx_j = link_faults.wasted_tx_j;
+  out.wasted_rx_j = link_faults.wasted_rx_j;
 
   out.clients_alive = alive;
   std::sort(deaths.begin(), deaths.end(),

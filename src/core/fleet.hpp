@@ -15,6 +15,11 @@
 // small state machine (think → compute+protocol → medium grant →
 // transmit → server grant → serve → medium grant → receive → unpack),
 // and the medium/server are FIFO resources granted in event-time order.
+// The stages run Session's Table-1 executor (core/query_exec.hpp) and
+// price their medium legs with the Session transport's price_leg /
+// book_leg (core/transport.hpp), so one client with no think time and
+// no faults reproduces Session::run_batch, which the K=1 oracle in
+// tests/test_fleet.cpp pins.
 //
 // On top of the PR 4 link faults, the fleet models CLIENT faults: each
 // client can carry a heterogeneous sim::Battery that every query leg
@@ -116,8 +121,12 @@ struct FleetOutcome {
   double mean_latency_s = 0;        ///< per-query, issue -> answer
   double p95_latency_s = 0;
   double mean_client_energy_j = 0;  ///< full per-client energy, averaged
-  double medium_utilization = 0;    ///< airtime / makespan
-  double server_utilization = 0;    ///< server busy / makespan
+  /// Airtime (both directions) over the later of the makespan and the
+  /// medium's last release; at most 1.
+  double medium_utilization = 0;
+  /// Server busy time over the later of the makespan and the server's
+  /// last release; at most 1.
+  double server_utilization = 0;
   std::uint64_t answers = 0;
 
   // Link-fault accounting (all zero on a fault-free medium; see
@@ -160,7 +169,9 @@ struct FleetOutcome {
 /// (data at the client) or drops it, and the fleet keeps serving.
 /// Client faults (fleet.battery / fleet.churn) additionally let whole
 /// clients die mid-run; fleet.replication controls how much of their
-/// work the survivors can still answer.
+/// work the survivors can still answer.  Throws std::invalid_argument,
+/// as Session does, for a nearest-neighbor query kind under a hybrid
+/// scheme.
 FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& base,
                        const FleetConfig& fleet);
 

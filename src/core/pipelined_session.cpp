@@ -1,12 +1,10 @@
 #include "core/pipelined_session.hpp"
 
-#include "core/query_exec.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "serial/messages.hpp"
+#include "core/query_exec.hpp"
 
 namespace mosaiq::core {
 
@@ -63,34 +61,18 @@ void PipelinedSession::run_query(const rtree::Query& q) {
     const std::size_t lo = static_cast<std::size_t>(b) * pipe_.batch_size;
     const std::size_t hi = std::min(cand.size(), lo + pipe_.batch_size);
 
-    serial::QueryRequest req;
-    req.op = serial::RemoteOp::RefineOnly;
-    req.query = q;
-    req.client_has_data = cfg_.placement.data_at_client;
-    req.candidates.assign(cand.begin() + lo, cand.begin() + hi);
+    std::vector<std::uint32_t> batch(cand.begin() + lo, cand.begin() + hi);
+    SchemeSteps steps(data_, q, Scheme::FilterClientRefineServer, cfg_.placement.data_at_client,
+                      batch);
 
-    const net::WireCost tx = net::wire_cost(req.encoded_size(), cfg_.protocol);
+    const net::WireCost tx = net::wire_cost(steps.request_bytes(), cfg_.protocol);
     const double busy0 = client_.busy_seconds();
     net::charge_protocol_tx(tx, client_);
     bt.ptx = client_.busy_seconds() - busy0;
 
     const std::uint64_t s0 = server_.cycles();
     net::charge_protocol_rx(tx, server_);
-    std::vector<std::uint32_t> ids;
-    refine_query(data_, q, req.candidates, server_, ids);
-    answers_ += ids.size();
-
-    std::uint64_t rx_payload;
-    if (cfg_.placement.data_at_client) {
-      serial::IdListResponse resp;
-      resp.ids = std::move(ids);
-      rx_payload = resp.encoded_size();
-    } else {
-      serial::RecordResponse resp;
-      resp.records.resize(ids.size());
-      rx_payload = resp.encoded_size();
-    }
-    const net::WireCost rx = net::wire_cost(rx_payload, cfg_.protocol);
+    const net::WireCost rx = net::wire_cost(steps.server_w2(server_, answers_), cfg_.protocol);
     net::charge_protocol_tx(rx, server_);
     bt.srv = static_cast<double>(server_.cycles() - s0) / cfg_.server.clock_hz();
 

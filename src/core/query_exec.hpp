@@ -1,8 +1,13 @@
-// Shared query-execution dispatch: the filtering and refinement steps
-// for every query kind that has them (point, range, route), runnable on
-// any machine model via ExecHooks.  Used by the Session, the pipelined
-// session, and the fleet simulator so the per-kind switching lives in
-// exactly one place.
+// The Table-1 executor: one query under one partitioning scheme, split
+// where its messages go (paper Figure 1),
+//
+//     client w1  ->  request  ->  server w2  ->  response  ->  client w3
+//
+// plus the filtering and refinement dispatch for every query kind that
+// has them (point, range, route).  Each step runs on whichever machine
+// model it is handed via ExecHooks.  The Session, the pipelined session
+// and the fleet simulator all run queries through it, so the per-scheme
+// work and message sizes live in exactly one place.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +16,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/scheme.hpp"
 #include "rtree/packed_rtree.hpp"
 #include "rtree/query.hpp"
 #include "workload/dataset.hpp"
@@ -56,5 +62,46 @@ inline void refine_query(const workload::Dataset& data, const rtree::Query& q,
     rtree::refine_route(data.store, legs_of(std::get<rtree::RouteQuery>(q)), cand, cpu, ids);
   }
 }
+
+/// The Table-1 steps of one query.  Each step adds the answers it finds
+/// to `answers`; between steps only the two payload sizes and the
+/// candidate list (held by the caller, so it can outlive the steps
+/// object across a fleet client's stages) cross the link.
+class SchemeSteps {
+ public:
+  /// Throws std::invalid_argument for a nearest-neighbor query under a
+  /// hybrid scheme: the paper's NN search has no filtering/refinement
+  /// split to partition at.
+  SchemeSteps(const workload::Dataset& data, const rtree::Query& q, Scheme scheme,
+              bool data_at_client, std::vector<std::uint32_t>& candidates);
+
+  /// w1 on the client: the whole query under FullyAtClient, filtering
+  /// under filter@client, nothing otherwise.  Returns the request
+  /// payload size (0 under FullyAtClient: nothing is sent).
+  std::uint64_t client_w1(rtree::ExecHooks& client, std::uint64_t& answers);
+
+  /// w2 on the server: the whole query, refinement of the shipped
+  /// candidates, or filtering (plus a read pass over the candidate
+  /// records when they must ship).  Returns the response payload size.
+  std::uint64_t server_w2(rtree::ExecHooks& server, std::uint64_t& answers);
+
+  /// w3 on the client: refinement under filter@server, over the local
+  /// store or, with the data not at the client, the received records.
+  void client_w3(rtree::ExecHooks& client, std::uint64_t& answers) const;
+
+  /// Request payload for this query, carrying the current candidates
+  /// under filter@client.
+  std::uint64_t request_bytes() const;
+
+ private:
+  /// The whole query on one machine; returns its answer count.
+  std::uint64_t whole_query(rtree::ExecHooks& cpu) const;
+
+  const workload::Dataset& data_;
+  const rtree::Query& q_;
+  Scheme scheme_;
+  bool data_at_client_;
+  std::vector<std::uint32_t>& cand_;
+};
 
 }  // namespace mosaiq::core

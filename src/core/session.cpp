@@ -1,70 +1,12 @@
 #include "core/session.hpp"
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/query_exec.hpp"
 
-#include <stdexcept>
-
-#include "geom/predicates.hpp"
-#include "rtree/costs.hpp"
-#include "serial/messages.hpp"
-
 namespace mosaiq::core {
-
-namespace {
-
-namespace simaddr = rtree::simaddr;
-
-/// Response payload size for an answer of `n` ids/records.
-std::uint64_t answer_payload_bytes(std::uint64_t n, bool data_at_client) {
-  if (data_at_client) {
-    serial::IdListResponse r;
-    r.ids.resize(n);
-    return r.encoded_size();
-  }
-  serial::RecordResponse r;
-  r.records.resize(n);
-  return r.encoded_size();
-}
-
-/// Client-side refinement over records that arrived on the wire (data
-/// not resident at the client): the candidate records sit in the
-/// application receive buffer, so reads go against the net region.
-void refine_received(const workload::Dataset& data, const rtree::Query& q,
-                     std::span<const std::uint32_t> candidates, rtree::ExecHooks& cpu,
-                     std::uint64_t& answers) {
-  std::uint64_t addr = simaddr::kNetBase;
-  std::uint64_t result_addr = simaddr::kScratchBase + (2u << 20);
-  for (const std::uint32_t rec : candidates) {
-    cpu.instr(rtree::costs::kCandidateFetch);
-    cpu.read(addr, 32);
-    addr += rtree::kRecordBytes;
-    const geom::Segment& s = data.store.segment(rec);
-    bool hit = false;
-    if (const auto* pq = std::get_if<rtree::PointQuery>(&q)) {
-      cpu.instr(rtree::costs::kPointOnSegment);
-      hit = geom::point_on_segment(pq->p, s);
-    } else if (const auto* rq = std::get_if<rtree::RangeQuery>(&q)) {
-      cpu.instr(rtree::costs::kSegRectIntersect);
-      hit = geom::segment_intersects_rect(s, rq->window);
-    } else {
-      for (const geom::Segment& leg : legs_of(std::get<rtree::RouteQuery>(q))) {
-        cpu.instr(rtree::costs::kSegSegIntersect);
-        if (geom::segments_intersect(s, leg)) {
-          hit = true;
-          break;
-        }
-      }
-    }
-    if (hit) {
-      cpu.instr(rtree::costs::kResultPush);
-      cpu.write(result_addr, 4);
-      result_addr += 4;
-      ++answers;
-    }
-  }
-}
-
-}  // namespace
 
 void validate_config(const SessionConfig& cfg) {
   if (!(cfg.channel.bandwidth_mbps > 0)) {
@@ -96,23 +38,38 @@ Session::Session(const workload::Dataset& dataset, const SessionConfig& cfg)
   }
 }
 
-void Session::run_fully_at_client(const rtree::Query& q) {
-  if (is_filterable(q)) {
-    std::vector<std::uint32_t> cand;
-    std::vector<std::uint32_t> ids;
-    filter_query(data_, q, client_, cand);
-    refine_query(data_, q, cand, client_, ids);
-    answers_ += ids.size();
-  } else if (const auto* kq = std::get_if<rtree::KnnQuery>(&q)) {
-    answers_ += data_.tree.nearest_k(kq->p, kq->k, data_.store, client_).size();
-  } else {
-    if (data_.tree.nearest(std::get<rtree::NNQuery>(q).p, data_.store, client_)) ++answers_;
+QueryStatus Session::run_query(const rtree::Query& q) { return run_query_as(q, cfg_.scheme); }
+
+QueryStatus Session::run_query_as(const rtree::Query& q, Scheme scheme) {
+  std::vector<std::uint32_t> cand;
+  SchemeSteps steps(data_, q, scheme, cfg_.placement.data_at_client, cand);
+  // The wrapper opens without settling: compute pending from before the
+  // query (the adaptive planner's estimate) settles inside it, exactly
+  // when it would untraced.
+  obs::TraceSink* trace = transport_.trace();
+  if (trace != nullptr) {
+    trace->begin(std::string(name_of(scheme)) + " " + name_of(rtree::kind_of(q)),
+                 transport_.wall_seconds());
+  }
+  const std::uint64_t answers_before = answers_;
+  const std::uint64_t request_bytes = steps.client_w1(client_, answers_);
+  QueryStatus status = QueryStatus::Ok;
+  if (uses_server(scheme)) {
+    const ExchangeStatus st = transport_.exchange(
+        request_bytes, [&]() -> std::uint64_t { return steps.server_w2(server_, answers_); });
+    if (st == ExchangeStatus::Delivered) {
+      steps.client_w3(client_, answers_);
+    } else {
+      status = degrade(q, answers_before);
+    }
   }
   transport_.settle_sleep();
+  if (trace != nullptr) trace->end(transport_.wall_seconds());
+  return status;
 }
 
 QueryStatus Session::degrade(const rtree::Query& q, std::uint64_t answers_before) {
-  // server_work may have counted answers before the response was lost;
+  // server_w2 may have counted answers before the response was lost;
   // the client never saw them.
   answers_ = answers_before;
   obs::TraceSink* trace = transport_.trace();
@@ -125,134 +82,10 @@ QueryStatus Session::degrade(const rtree::Query& q, std::uint64_t answers_before
   // re-execute the whole query locally, paying client-CPU energy.
   ++degraded_;
   if (trace != nullptr) trace->counter("degraded-queries", 1);
-  run_fully_at_client(q);
+  std::vector<std::uint32_t> cand;
+  SchemeSteps(data_, q, Scheme::FullyAtClient, cfg_.placement.data_at_client, cand)
+      .client_w1(client_, answers_);
   return QueryStatus::DegradedLocal;
-}
-
-QueryStatus Session::run_fully_at_server(const rtree::Query& q) {
-  serial::QueryRequest req;
-  req.op = serial::RemoteOp::FullQuery;
-  req.query = q;
-  req.client_has_data = cfg_.placement.data_at_client;
-
-  const std::uint64_t answers_before = answers_;
-  const ExchangeStatus st = transport_.exchange(req.encoded_size(), [&]() -> std::uint64_t {
-    if (is_filterable(q)) {
-      std::vector<std::uint32_t> cand;
-      std::vector<std::uint32_t> ids;
-      filter_query(data_, q, server_, cand);
-      refine_query(data_, q, cand, server_, ids);
-      answers_ += ids.size();
-      return answer_payload_bytes(ids.size(), cfg_.placement.data_at_client);
-    }
-    if (const auto* kq = std::get_if<rtree::KnnQuery>(&q)) {
-      const auto found = data_.tree.nearest_k(kq->p, kq->k, data_.store, server_);
-      answers_ += found.size();
-      return answer_payload_bytes(found.size(), cfg_.placement.data_at_client);
-    }
-    const auto nn = data_.tree.nearest(std::get<rtree::NNQuery>(q).p, data_.store, server_);
-    if (nn) ++answers_;
-    return serial::NNResponse{}.encoded_size();
-  });
-  if (st != ExchangeStatus::Delivered) return degrade(q, answers_before);
-  return QueryStatus::Ok;
-}
-
-QueryStatus Session::run_filter_client_refine_server(const rtree::Query& q) {
-  if (!is_filterable(q)) {
-    throw std::invalid_argument(
-        "nearest-neighbor queries have no filtering/refinement split to partition");
-  }
-
-  // w1: filtering on the client (index is replicated locally).
-  std::vector<std::uint32_t> cand;
-  filter_query(data_, q, client_, cand);
-
-  // Request carries the query plus the candidate ids (the transmission
-  // the paper identifies as this scheme's energy Achilles heel).
-  serial::QueryRequest req;
-  req.op = serial::RemoteOp::RefineOnly;
-  req.query = q;
-  req.client_has_data = cfg_.placement.data_at_client;
-  req.candidates = cand;
-
-  const std::uint64_t answers_before = answers_;
-  const ExchangeStatus st = transport_.exchange(req.encoded_size(), [&]() -> std::uint64_t {
-    std::vector<std::uint32_t> ids;
-    refine_query(data_, q, cand, server_, ids);
-    answers_ += ids.size();
-    return answer_payload_bytes(ids.size(), cfg_.placement.data_at_client);
-  });
-  if (st != ExchangeStatus::Delivered) return degrade(q, answers_before);
-  return QueryStatus::Ok;
-}
-
-QueryStatus Session::run_filter_server_refine_client(const rtree::Query& q) {
-  if (!is_filterable(q)) {
-    throw std::invalid_argument(
-        "nearest-neighbor queries have no filtering/refinement split to partition");
-  }
-
-  serial::QueryRequest req;
-  req.op = serial::RemoteOp::FilterOnly;
-  req.query = q;
-  req.client_has_data = cfg_.placement.data_at_client;
-
-  // w2: filtering at the server; response carries candidate ids when the
-  // data is replicated at the client, or the candidate records when not.
-  std::vector<std::uint32_t> cand;
-  const std::uint64_t answers_before = answers_;
-  const ExchangeStatus st = transport_.exchange(req.encoded_size(), [&]() -> std::uint64_t {
-    filter_query(data_, q, server_, cand);
-    if (cfg_.placement.data_at_client) {
-      serial::IdListResponse r;
-      r.ids = cand;
-      return r.encoded_size();
-    }
-    // Serializing the candidate records costs the server a read pass.
-    for (const std::uint32_t rec : cand) {
-      server_.read(data_.store.addr_of(rec), rtree::kRecordBytes);
-    }
-    serial::RecordResponse r;
-    r.records.resize(cand.size());
-    return r.encoded_size();
-  });
-  if (st != ExchangeStatus::Delivered) return degrade(q, answers_before);
-
-  // w3: refinement on the client.
-  if (cfg_.placement.data_at_client) {
-    std::vector<std::uint32_t> ids;
-    refine_query(data_, q, cand, client_, ids);
-    answers_ += ids.size();
-  } else {
-    refine_received(data_, q, cand, client_, answers_);
-  }
-  transport_.settle_sleep();
-  return QueryStatus::Ok;
-}
-
-QueryStatus Session::run_query(const rtree::Query& q) { return run_query_as(q, cfg_.scheme); }
-
-QueryStatus Session::run_query_as(const rtree::Query& q, Scheme scheme) {
-  obs::TraceSink* trace = transport_.trace();
-  if (trace != nullptr) {
-    // Settle so the wrapper opens exactly at this query's first phase.
-    transport_.settle_sleep();
-    trace->begin(std::string(name_of(scheme)) + " " + name_of(rtree::kind_of(q)),
-                 transport_.wall_seconds());
-  }
-  QueryStatus status = QueryStatus::Ok;
-  switch (scheme) {
-    case Scheme::FullyAtClient: run_fully_at_client(q); break;
-    case Scheme::FullyAtServer: status = run_fully_at_server(q); break;
-    case Scheme::FilterClientRefineServer: status = run_filter_client_refine_server(q); break;
-    case Scheme::FilterServerRefineClient: status = run_filter_server_refine_client(q); break;
-  }
-  if (trace != nullptr) {
-    transport_.settle_sleep();
-    trace->end(transport_.wall_seconds());
-  }
-  return status;
 }
 
 stats::Outcome Session::outcome() {

@@ -2,7 +2,8 @@
 //
 // A Session binds one dataset (replicated at the server, optionally at
 // the client), one work-partitioning scheme, a wireless channel and the
-// two machine models, and executes queries end-to-end:
+// two machine models, and executes queries end-to-end through the
+// Table-1 executor (core/query_exec.hpp) and the transport:
 //
 //     client w1  ->  request  ->  server w2  ->  result  ->  client w3
 //
@@ -80,11 +81,6 @@ class Session {
                                   obs::TraceSink* trace = nullptr);
 
  private:
-  void run_fully_at_client(const rtree::Query& q);
-  QueryStatus run_fully_at_server(const rtree::Query& q);
-  QueryStatus run_filter_client_refine_server(const rtree::Query& q);
-  QueryStatus run_filter_server_refine_client(const rtree::Query& q);
-
   /// Handles an exhausted retry budget: rolls answers back to
   /// `answers_before`, then either re-executes the whole query locally
   /// (DegradedLocal, data replicated at the client) or gives up

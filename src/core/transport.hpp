@@ -1,9 +1,8 @@
-// Transport: the client<->server round-trip machinery shared by the
-// adequate-memory Session and the insufficient-memory CachingClient.
+// Transport: the client<->server round trip shared by every driver of
+// the Table-1 schemes.
 //
-// Owns the NIC model and the communication-side accounting; the caller
-// owns the CPU models and the query logic.  One exchange() performs the
-// full Figure-1 round trip with the Section-5.2 NIC/CPU state schedule:
+// One exchange() performs the full Figure-1 round trip with the
+// Section-5.2 NIC/CPU state schedule:
 //
 //   protocol-tx (CPU busy, NIC sleeping)
 //   sleep-exit -> TRANSMIT (CPU blocked)
@@ -11,20 +10,21 @@
 //   RECEIVE (CPU blocked) -> back to SLEEP
 //   protocol-rx (CPU busy, NIC sleeping)
 //
-// With a LinkFaultModel attached (set_fault) the exchange becomes a
-// reliable transport over a lossy link: every data frame consults the
-// fault model, a lost frame costs its real NIC energy and airtime but
-// delivers nothing, the sender stalls for a timeout plus deterministic
-// exponential backoff, and a bounded retry budget turns a dead link
-// into an ExchangeStatus the caller can degrade on instead of a hang.
-// Without a fault model the original code path runs unchanged and the
-// accounting stays bit-identical to the fault-free simulator.
+// Each message leg is priced once by price_leg(): data and control
+// airtime, the peer's delayed ACKs and, with a LinkFaultModel attached
+// (set_fault), net::plan_transfer's retransmission episode, in which a
+// lost frame costs its real NIC energy and airtime, the sender stalls
+// for a timeout plus deterministic exponential backoff, and a bounded
+// retry budget turns a dead link into an ExchangeStatus the caller can
+// degrade on instead of a hang.  A clean link is a lossless plan priced
+// in the fault-free simulator's arithmetic order, so its accounting is
+// bit-identical to it.  The Session transport and the fleet's medium
+// legs book the same priced legs through book_leg().
 #pragma once
 
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "core/scheme.hpp"
 #include "net/fault.hpp"
@@ -43,6 +43,98 @@ enum class ExchangeStatus : std::uint8_t {
   Delivered,     ///< request and response both arrived
   RequestLost,   ///< retry budget exhausted on the uplink; server never ran
   ResponseLost,  ///< server computed, but the response never arrived
+};
+
+/// One message leg on the half-duplex link: the sender's data and
+/// control frames (every retransmission included), any timeout/backoff
+/// stall between them, and the receiver's delayed ACKs.
+struct MessageLeg {
+  bool up = true;          ///< client -> server: the client transmits the frames
+  net::TransferPlan plan;  ///< the data frames; lossless on a clean link
+  double air_s = 0;        ///< data + control airtime in the leg's direction
+  double ack_s = 0;        ///< the peer's delayed ACKs (0 when undelivered)
+  std::uint64_t air_bytes = 0;  ///< data + control bytes put on the air
+  std::uint64_t ack_bytes = 0;  ///< the peer's ACK bytes (0 when undelivered)
+
+  /// Medium time: airtime both ways, then the stalls (0 on a clean link).
+  double seconds() const { return air_s + ack_s + plan.wait_s; }
+};
+
+/// ACK share of one side's control traffic: total control minus the
+/// connection-control floor (SYN/FIN).  control_bytes() is monotone in
+/// its packet argument, so the subtraction cannot wrap; the assert
+/// documents (and in debug builds enforces) the invariant the
+/// unsigned-wrap lint rule guards against.
+inline std::uint64_t ack_share(std::uint64_t total_ctrl_bytes, std::uint64_t floor_ctrl_bytes) {
+  assert(total_ctrl_bytes >= floor_ctrl_bytes);
+  return total_ctrl_bytes - floor_ctrl_bytes;
+}
+
+/// Prices one leg carrying `payload_bytes`.  Under `fault` the data
+/// frames run a plan_transfer episode offered from `start_s`.  A clean
+/// link (nullptr) is a lossless plan, every frame delivered first time,
+/// with data and control airtime priced in one division.
+inline MessageLeg price_leg(bool up, std::uint64_t payload_bytes,
+                            const net::ProtocolConfig& protocol, double bits_per_s,
+                            net::LinkFaultModel* fault, const net::RetryConfig& retry,
+                            double start_s) {
+  const net::WireCost msg = net::wire_cost(payload_bytes, protocol);
+  const std::uint64_t ctrl = net::control_bytes(0, protocol);  // SYN/FIN etc.
+  MessageLeg leg;
+  leg.up = up;
+  if (fault == nullptr) {
+    leg.plan.frames = msg.packets;
+    leg.plan.transmissions = msg.packets;
+    leg.plan.air_bytes = msg.wire_bytes;
+    leg.air_s = static_cast<double>((msg.wire_bytes + ctrl) * 8) / bits_per_s;
+  } else {
+    leg.plan = net::plan_transfer(*fault, payload_bytes, protocol.mtu_bytes,
+                                  protocol.header_bytes, bits_per_s, retry, start_s);
+    leg.air_s = leg.plan.air_s + static_cast<double>(ctrl * 8) / bits_per_s;
+  }
+  leg.air_bytes = leg.plan.air_bytes + ctrl;
+  if (leg.plan.delivered) {
+    leg.ack_bytes = ack_share(net::control_bytes(msg.packets, protocol), ctrl);
+    leg.ack_s = static_cast<double>(leg.ack_bytes * 8) / bits_per_s;
+  }
+  return leg;
+}
+
+/// Books a priced leg on one client: its own frames in TRANSMIT (uplink)
+/// or RECEIVE (downlink), the peer's ACKs in the other state, stalls in
+/// IDLE, and the CPU blocked throughout.  Returns the leg's seconds.
+inline double book_leg(const MessageLeg& leg, net::Nic& nic, sim::ClientCpu& cpu,
+                       sim::WaitPolicy policy) {
+  nic.spend(leg.up ? net::NicState::Transmit : net::NicState::Receive, leg.air_s);
+  nic.spend(leg.up ? net::NicState::Receive : net::NicState::Transmit, leg.ack_s);
+  nic.spend(net::NicState::Idle, leg.plan.wait_s);
+  const double seconds = leg.seconds();
+  cpu.wait_seconds(seconds, policy);
+  return seconds;
+}
+
+/// What a lossy link cost so far, summed over legs (all zero on a clean
+/// link).  The wasted energies are memos: subsets of the NIC's TRANSMIT
+/// and RECEIVE joules spent on frames that never arrived.
+struct LinkFaultTally {
+  std::uint64_t retransmissions = 0;
+  std::uint64_t timeouts = 0;
+  double wasted_tx_j = 0;
+  double wasted_rx_j = 0;
+
+  void add(const MessageLeg& leg, const net::Nic& nic, obs::TraceSink* trace) {
+    const double air_w = 1e-3 * (leg.up ? nic.power().tx_mw(nic.distance_m())
+                                        : nic.power().rx_mw);
+    const double waste_j = air_w * leg.plan.wasted_air_s;
+    (leg.up ? wasted_tx_j : wasted_rx_j) += waste_j;
+    retransmissions += leg.plan.retransmissions;
+    timeouts += leg.plan.timeouts;
+    if (trace != nullptr && leg.plan.timeouts > 0) {
+      trace->counter("retransmissions", leg.plan.retransmissions);
+      trace->counter("timeouts", leg.plan.timeouts);
+      trace->counter(leg.up ? "wasted-tx-j" : "wasted-rx-j", waste_j);
+    }
+  }
 };
 
 class Transport {
@@ -64,34 +156,20 @@ class Transport {
   /// always Delivered.
   template <typename ServerWork>
   ExchangeStatus exchange(std::uint64_t tx_payload_bytes, ServerWork&& server_work) {
-    if (fault_ != nullptr) {
-      return exchange_faulty(tx_payload_bytes, std::forward<ServerWork>(server_work));
-    }
-    const double client_hz = client_.config().clock_hz();
-
-    // Flush compute pending from before the exchange into its own
-    // "sleep" span, so the protocol work below gets a span of its own.
-    if (trace_ != nullptr) settle_sleep();
+    // Compute pending from before the exchange settles together with
+    // the protocol work below, traced or not, so a trace cannot move a
+    // bit; the trace only splits the span in two for display.
+    if (trace_ != nullptr) emit_pending_sleep();
     const net::WireCost tx = net::wire_cost(tx_payload_bytes, protocol_);
     net::charge_protocol_tx(tx, client_);
     settle_sleep_as("protocol-tx");
 
-    // TX phase: the client sends its data + control packets and, half
-    // duplex, takes in the server's delayed ACKs for them.
-    const double bits_per_s = channel_.bandwidth_mbps * 1e6;
-    const std::uint64_t ctrl_tx = net::control_bytes(0, protocol_);  // SYN/FIN etc.
-    const std::uint64_t peer_acks = ack_share(net::control_bytes(tx.packets, protocol_), ctrl_tx);
     wall_seconds_ += nic_.sleep_exit();
     emit_phase("sleep-exit");
-    const double t_tx = static_cast<double>((tx.wire_bytes + ctrl_tx) * 8) / bits_per_s;
-    const double t_peer_acks = static_cast<double>(peer_acks * 8) / bits_per_s;
-    nic_.spend(net::NicState::Transmit, t_tx);
-    nic_.spend(net::NicState::Receive, t_peer_acks);
-    client_.wait_seconds(t_tx + t_peer_acks, wait_policy_);
-    cycles_.nic_tx += static_cast<std::uint64_t>(std::llround(t_tx * client_hz));
-    cycles_.nic_rx += static_cast<std::uint64_t>(std::llround(t_peer_acks * client_hz));
-    wall_seconds_ += t_tx + t_peer_acks;
-    emit_phase("tx");
+    const MessageLeg up =
+        price_leg(true, tx_payload_bytes, protocol_, bits_per_s(), fault_, retry_, wall_seconds_);
+    book(up);
+    if (!up.plan.delivered) return ExchangeStatus::RequestLost;
 
     const std::uint64_t s0 = server_.cycles();
     net::charge_protocol_rx(tx, server_);
@@ -101,43 +179,31 @@ class Transport {
     const std::uint64_t s1 = server_.cycles();
     // mosaiq-lint: allow(unsigned-wrap) — cycles() is a cumulative counter; s1 >= s0
     const double t_server = static_cast<double>(s1 - s0) / server_.config().clock_hz();
-
     nic_.spend(net::NicState::Idle, t_server);
     client_.wait_seconds(t_server, wait_policy_);
-    cycles_.wait += static_cast<std::uint64_t>(std::llround(t_server * client_hz));
+    cycles_.wait += to_cycles(t_server);
     wall_seconds_ += t_server;
     emit_phase("server-wait");
 
-    // RX phase: response data + server control packets come in; the
-    // client transmits its own delayed ACKs.
-    const std::uint64_t my_acks = ack_share(net::control_bytes(rx.packets, protocol_), ctrl_tx);
-    const double t_rx = static_cast<double>((rx.wire_bytes + ctrl_tx) * 8) / bits_per_s;
-    const double t_my_acks = static_cast<double>(my_acks * 8) / bits_per_s;
-    nic_.spend(net::NicState::Receive, t_rx);
-    nic_.spend(net::NicState::Transmit, t_my_acks);
-    client_.wait_seconds(t_rx + t_my_acks, wait_policy_);
-    cycles_.nic_rx += static_cast<std::uint64_t>(std::llround(t_rx * client_hz));
-    cycles_.nic_tx += static_cast<std::uint64_t>(std::llround(t_my_acks * client_hz));
-    wall_seconds_ += t_rx + t_my_acks;
-    emit_phase("rx");
+    const MessageLeg down =
+        price_leg(false, rx_payload_bytes, protocol_, bits_per_s(), fault_, retry_, wall_seconds_);
+    book(down);
+    if (!down.plan.delivered) return ExchangeStatus::ResponseLost;
 
     net::charge_protocol_rx(rx, client_);
     settle_sleep_as("protocol-rx");
 
-    bytes_tx_ += tx.wire_bytes + ctrl_tx + my_acks;
-    bytes_rx_ += rx.wire_bytes + ctrl_tx + peer_acks;
     ++round_trips_;
     if (trace_ != nullptr) {
       trace_->counter("round-trips", 1);
-      trace_->counter("bytes-tx", static_cast<double>(tx.wire_bytes + ctrl_tx + my_acks));
-      trace_->counter("bytes-rx", static_cast<double>(rx.wire_bytes + ctrl_tx + peer_acks));
+      trace_->counter("bytes-tx", static_cast<double>(up.air_bytes + down.ack_bytes));
+      trace_->counter("bytes-rx", static_cast<double>(down.air_bytes + up.ack_bytes));
     }
     return ExchangeStatus::Delivered;
   }
 
   /// Attaches (or detaches, with nullptr) a link-fault model; the
-  /// retry policy governs timeout/backoff/budget.  With no model the
-  /// exchange path is untouched.
+  /// retry policy governs timeout/backoff/budget.
   void set_fault(net::LinkFaultModel* fault, const net::RetryConfig& retry = {}) {
     fault_ = fault;
     retry_ = retry;
@@ -178,140 +244,35 @@ class Transport {
     o.bytes_rx = bytes_rx_;
     o.round_trips = round_trips_;
     o.wall_seconds = wall_seconds_;
-    o.retransmissions = retransmissions_;
-    o.timeouts = timeouts_;
-    o.wasted_tx_j = wasted_tx_j_;
-    o.wasted_rx_j = wasted_rx_j_;
+    o.retransmissions = static_cast<std::uint32_t>(faults_.retransmissions);
+    o.timeouts = static_cast<std::uint32_t>(faults_.timeouts);
+    o.wasted_tx_j = faults_.wasted_tx_j;
+    o.wasted_rx_j = faults_.wasted_rx_j;
     return o;
   }
 
   const net::Nic& nic() const { return nic_; }
 
  private:
-  /// ACK share of one side's control traffic: total control minus the
-  /// connection-control floor (SYN/FIN).  control_bytes() is monotone
-  /// in its packet argument, so the subtraction cannot wrap; the
-  /// assert documents (and in debug builds enforces) the invariant the
-  /// unsigned-wrap lint rule guards against.
-  static std::uint64_t ack_share(std::uint64_t total_ctrl_bytes,
-                                 std::uint64_t floor_ctrl_bytes) {
-    assert(total_ctrl_bytes >= floor_ctrl_bytes);
-    return total_ctrl_bytes - floor_ctrl_bytes;
+  double bits_per_s() const { return channel_.bandwidth_mbps * 1e6; }
+
+  std::uint64_t to_cycles(double seconds) const {
+    return static_cast<std::uint64_t>(std::llround(seconds * client_.config().clock_hz()));
   }
 
-  /// Fault-mode exchange: same Figure-1 schedule, but both data legs
-  /// run frame-by-frame against the fault model under the retry
-  /// policy.  Aborts (and reports which leg died) when a frame's retry
-  /// budget is exhausted.
-  template <typename ServerWork>
-  ExchangeStatus exchange_faulty(std::uint64_t tx_payload_bytes, ServerWork&& server_work) {
-    const double client_hz = client_.config().clock_hz();
-
-    if (trace_ != nullptr) settle_sleep();
-    const net::WireCost tx = net::wire_cost(tx_payload_bytes, protocol_);
-    net::charge_protocol_tx(tx, client_);
-    settle_sleep_as("protocol-tx");
-
-    const std::uint64_t ctrl_tx = net::control_bytes(0, protocol_);
-    const std::uint64_t peer_acks = ack_share(net::control_bytes(tx.packets, protocol_), ctrl_tx);
-    wall_seconds_ += nic_.sleep_exit();
-    emit_phase("sleep-exit");
-
-    // Uplink: data + control frames against the fault model.
-    const net::TransferPlan up = run_faulty_leg(tx_payload_bytes, ctrl_tx, /*is_tx=*/true);
-    bytes_tx_ += up.air_bytes + ctrl_tx;
-    if (!up.delivered) return ExchangeStatus::RequestLost;
-    // Half duplex: the server's delayed ACKs for the delivered frames.
-    absorb_acks(peer_acks, /*transmit=*/false);
-    bytes_rx_ += peer_acks;
-
-    const std::uint64_t s0 = server_.cycles();
-    net::charge_protocol_rx(tx, server_);
-    const std::uint64_t rx_payload_bytes = server_work();
-    const net::WireCost rx = net::wire_cost(rx_payload_bytes, protocol_);
-    net::charge_protocol_tx(rx, server_);
-    const std::uint64_t s1 = server_.cycles();
-    // mosaiq-lint: allow(unsigned-wrap) — cycles() is a cumulative counter; s1 >= s0
-    const double t_server = static_cast<double>(s1 - s0) / server_.config().clock_hz();
-    nic_.spend(net::NicState::Idle, t_server);
-    client_.wait_seconds(t_server, wait_policy_);
-    cycles_.wait += static_cast<std::uint64_t>(std::llround(t_server * client_hz));
-    wall_seconds_ += t_server;
-    emit_phase("server-wait");
-
-    // Downlink: response data + control frames against the fault model.
-    const std::uint64_t my_acks = ack_share(net::control_bytes(rx.packets, protocol_), ctrl_tx);
-    const net::TransferPlan down = run_faulty_leg(rx_payload_bytes, ctrl_tx, /*is_tx=*/false);
-    bytes_rx_ += down.air_bytes + ctrl_tx;
-    if (!down.delivered) return ExchangeStatus::ResponseLost;
-    absorb_acks(my_acks, /*transmit=*/true);
-    bytes_tx_ += my_acks;
-
-    net::charge_protocol_rx(rx, client_);
-    settle_sleep_as("protocol-rx");
-
-    ++round_trips_;
-    if (trace_ != nullptr) {
-      trace_->counter("round-trips", 1);
-      trace_->counter("bytes-tx", static_cast<double>(up.air_bytes + ctrl_tx + my_acks));
-      trace_->counter("bytes-rx", static_cast<double>(down.air_bytes + ctrl_tx + peer_acks));
-    }
-    return ExchangeStatus::Delivered;
+  /// Books a priced leg on this client's radio, CPU, cycle and byte
+  /// counts and wall clock.
+  void book(const MessageLeg& leg) {
+    wall_seconds_ += book_leg(leg, nic_, client_, wait_policy_);
+    (leg.up ? cycles_.nic_tx : cycles_.nic_rx) += to_cycles(leg.air_s);
+    (leg.up ? cycles_.nic_rx : cycles_.nic_tx) += to_cycles(leg.ack_s);
+    cycles_.wait += to_cycles(leg.plan.wait_s);
+    (leg.up ? bytes_tx_ : bytes_rx_) += leg.air_bytes;
+    (leg.up ? bytes_rx_ : bytes_tx_) += leg.ack_bytes;
+    emit_phase(leg.up ? "tx" : "rx");
+    faults_.add(leg, nic_, trace_);
   }
 
-  /// One data leg under the fault model: airtime (including the leg's
-  /// control bytes and every retransmission) in TRANSMIT or RECEIVE,
-  /// timeout + backoff stalls in IDLE, and the energy of frames that
-  /// never delivered recorded as waste.
-  net::TransferPlan run_faulty_leg(std::uint64_t payload_bytes, std::uint64_t ctrl_bytes,
-                                   bool is_tx) {
-    const double client_hz = client_.config().clock_hz();
-    const double bits_per_s = channel_.bandwidth_mbps * 1e6;
-    const net::TransferPlan plan =
-        net::plan_transfer(*fault_, payload_bytes, protocol_.mtu_bytes, protocol_.header_bytes,
-                           bits_per_s, retry_, wall_seconds_);
-    const double t_ctrl = static_cast<double>(ctrl_bytes * 8) / bits_per_s;
-    const double t_air = plan.air_s + t_ctrl;
-    nic_.spend(is_tx ? net::NicState::Transmit : net::NicState::Receive, t_air);
-    client_.wait_seconds(t_air, wait_policy_);
-    (is_tx ? cycles_.nic_tx : cycles_.nic_rx) +=
-        static_cast<std::uint64_t>(std::llround(t_air * client_hz));
-    wall_seconds_ += t_air;
-    emit_phase(is_tx ? "tx" : "rx");
-    if (plan.wait_s > 0) {
-      nic_.spend(net::NicState::Idle, plan.wait_s);
-      client_.wait_seconds(plan.wait_s, wait_policy_);
-      cycles_.wait += static_cast<std::uint64_t>(std::llround(plan.wait_s * client_hz));
-      wall_seconds_ += plan.wait_s;
-      emit_phase("retx-wait");
-    }
-    const double air_w = 1e-3 * (is_tx ? nic_.power().tx_mw(nic_.distance_m())
-                                       : nic_.power().rx_mw);
-    const double waste_j = air_w * plan.wasted_air_s;
-    (is_tx ? wasted_tx_j_ : wasted_rx_j_) += waste_j;
-    retransmissions_ += plan.retransmissions;
-    timeouts_ += plan.timeouts;
-    if (trace_ != nullptr && plan.timeouts > 0) {
-      trace_->counter("retransmissions", plan.retransmissions);
-      trace_->counter("timeouts", plan.timeouts);
-      trace_->counter(is_tx ? "wasted-tx-j" : "wasted-rx-j", waste_j);
-    }
-    return plan;
-  }
-
-  /// Delayed-ACK traffic for a delivered leg (client transmits its own
-  /// ACKs, receives the server's).
-  void absorb_acks(std::uint64_t ack_bytes, bool transmit) {
-    const double client_hz = client_.config().clock_hz();
-    const double bits_per_s = channel_.bandwidth_mbps * 1e6;
-    const double t_acks = static_cast<double>(ack_bytes * 8) / bits_per_s;
-    nic_.spend(transmit ? net::NicState::Transmit : net::NicState::Receive, t_acks);
-    client_.wait_seconds(t_acks, wait_policy_);
-    (transmit ? cycles_.nic_tx : cycles_.nic_rx) +=
-        static_cast<std::uint64_t>(std::llround(t_acks * client_hz));
-    wall_seconds_ += t_acks;
-    emit_phase("acks");
-  }
   /// settle_sleep with an explicit span name: exchange() uses it to
   /// label the busy delta as protocol work instead of plain compute.
   void settle_sleep_as(const char* phase_name) {
@@ -323,6 +284,17 @@ class Transport {
       settled_busy_seconds_ = busy;
       emit_phase(phase_name);
     }
+  }
+
+  /// Emits the compute pending since the last settle as a "sleep" span
+  /// without booking it: the mark moves to where a settle would have
+  /// left it, and the next settle books the whole stretch at once.
+  void emit_pending_sleep() {
+    const double delta = client_.busy_seconds() - settled_busy_seconds_;
+    if (!(delta > 0)) return;
+    const Mark now = current_mark();
+    const double sleep_j = nic_.power().sleep_mw * 1e-3 * delta;
+    emit_span("sleep", {now.wall_s + delta, now.joules + sleep_j, now.cycles});
   }
 
   // Tracing marks: every joule lands in client_.energy() or nic_, and
@@ -343,8 +315,10 @@ class Transport {
   void reset_mark() { mark_ = current_mark(); }
 
   void emit_phase(const char* name) {
-    if (trace_ == nullptr) return;
-    const Mark now = current_mark();
+    if (trace_ != nullptr) emit_span(name, current_mark());
+  }
+
+  void emit_span(const char* name, const Mark& now) {
     trace_->phase(name, mark_.wall_s, now.wall_s, now.joules - mark_.joules,
                   now.cycles - mark_.cycles);  // mosaiq-lint: allow(unsigned-wrap) — marks are cumulative-counter snapshots, now >= mark_ componentwise
     mark_ = now;
@@ -366,10 +340,7 @@ class Transport {
 
   net::LinkFaultModel* fault_ = nullptr;
   net::RetryConfig retry_;
-  std::uint32_t retransmissions_ = 0;
-  std::uint32_t timeouts_ = 0;
-  double wasted_tx_j_ = 0;
-  double wasted_rx_j_ = 0;
+  LinkFaultTally faults_;
 
   obs::TraceSink* trace_ = nullptr;
   Mark mark_;

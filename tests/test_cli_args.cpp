@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cli/args.hpp"
 
 namespace mosaiq::cli {
@@ -80,6 +83,26 @@ TEST(ArgParser, Errors) {
     const auto args = argv_of({"prog"});
     EXPECT_THROW(p.parse(static_cast<int>(args.size()), args.data()), std::invalid_argument);
   }
+}
+
+TEST(ArgParser, U32OptionsAreRangeChecked) {
+  ArgParser p("prog");
+  p.option("n", "count", "5").option("big", "count", "4294967296").option("neg", "count", "-1");
+  const auto args = argv_of({"prog", "--n", "4294967295"});
+  p.parse(static_cast<int>(args.size()), args.data());
+  EXPECT_EQ(p.get_u32("n"), 4294967295u);
+  for (const char* name : {"big", "neg"}) {
+    try {
+      p.get_u32(name);
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "--" + std::string(name) + " " + p.get(name) +
+                                           " is out of range");
+    }
+  }
+  EXPECT_THROW(parse_u32("clients", "99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW(parse_u32("clients", "4x"), std::invalid_argument);
+  EXPECT_EQ(parse_u32("clients", "0"), 0u);
 }
 
 TEST(ArgParser, HelpRaises) {

@@ -9,7 +9,6 @@
 // in (hash-set iteration, wall-clock reads, unseeded randomness).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -22,6 +21,7 @@
 #include "net/fault.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
+#include "outcome_bits.hpp"
 #include "perf/build_cache.hpp"
 #include "perf/config_hash.hpp"
 #include "rtree/pmr_quadtree.hpp"
@@ -31,42 +31,8 @@
 namespace mosaiq {
 namespace {
 
-// Doubles are compared as bit patterns: "close enough" would hide
-// order-dependent summation.
-void expect_bits(double a, double b, const char* what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
-}
-
-void expect_bit_identical(const stats::Outcome& a, const stats::Outcome& b) {
-  EXPECT_EQ(a.cycles.processor, b.cycles.processor);
-  EXPECT_EQ(a.cycles.nic_tx, b.cycles.nic_tx);
-  EXPECT_EQ(a.cycles.nic_rx, b.cycles.nic_rx);
-  EXPECT_EQ(a.cycles.wait, b.cycles.wait);
-  expect_bits(a.energy.processor_j, b.energy.processor_j, "processor_j");
-  expect_bits(a.energy.nic_tx_j, b.energy.nic_tx_j, "nic_tx_j");
-  expect_bits(a.energy.nic_rx_j, b.energy.nic_rx_j, "nic_rx_j");
-  expect_bits(a.energy.nic_idle_j, b.energy.nic_idle_j, "nic_idle_j");
-  expect_bits(a.energy.nic_sleep_j, b.energy.nic_sleep_j, "nic_sleep_j");
-  expect_bits(a.processor_detail.datapath_j, b.processor_detail.datapath_j, "datapath_j");
-  expect_bits(a.processor_detail.clock_j, b.processor_detail.clock_j, "clock_j");
-  expect_bits(a.processor_detail.icache_j, b.processor_detail.icache_j, "icache_j");
-  expect_bits(a.processor_detail.dcache_j, b.processor_detail.dcache_j, "dcache_j");
-  expect_bits(a.processor_detail.bus_j, b.processor_detail.bus_j, "bus_j");
-  expect_bits(a.processor_detail.dram_j, b.processor_detail.dram_j, "dram_j");
-  expect_bits(a.processor_detail.idle_j, b.processor_detail.idle_j, "idle_j");
-  EXPECT_EQ(a.server_cycles, b.server_cycles);
-  EXPECT_EQ(a.bytes_tx, b.bytes_tx);
-  EXPECT_EQ(a.bytes_rx, b.bytes_rx);
-  EXPECT_EQ(a.round_trips, b.round_trips);
-  EXPECT_EQ(a.answers, b.answers);
-  expect_bits(a.wall_seconds, b.wall_seconds, "wall_seconds");
-  EXPECT_EQ(a.retransmissions, b.retransmissions);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  expect_bits(a.wasted_tx_j, b.wasted_tx_j, "wasted_tx_j");
-  expect_bits(a.wasted_rx_j, b.wasted_rx_j, "wasted_rx_j");
-  EXPECT_EQ(a.queries_degraded, b.queries_degraded);
-  EXPECT_EQ(a.queries_failed, b.queries_failed);
-}
+using test_support::expect_bit_identical;
+using test_support::expect_bits;
 
 /// The shared BuildCache holds the dataset, exactly as the figure
 /// harnesses do since the perf layer landed — so every determinism pin
@@ -340,6 +306,40 @@ void expect_fleet_bit_identical(const core::FleetOutcome& a, const core::FleetOu
   }
 }
 
+/// FNV-1a over every FleetOutcome field, as bits for the doubles, the
+/// death log and the per-client energies included.
+std::uint64_t fleet_digest(const core::FleetOutcome& o) {
+  perf::ConfigHasher h;
+  h.mix(o.makespan_s)
+      .mix(o.mean_latency_s)
+      .mix(o.p95_latency_s)
+      .mix(o.mean_client_energy_j)
+      .mix(o.medium_utilization)
+      .mix(o.server_utilization)
+      .mix(o.answers)
+      .mix(std::uint64_t{o.queries_degraded})
+      .mix(std::uint64_t{o.queries_failed})
+      .mix(o.retransmissions)
+      .mix(o.timeouts)
+      .mix(o.wasted_tx_j)
+      .mix(o.wasted_rx_j)
+      .mix(std::uint64_t{o.clients_alive})
+      .mix(o.units_total)
+      .mix(o.units_answered)
+      .mix(o.units_lost)
+      .mix(o.duplicate_answers)
+      .mix(o.reassignments)
+      .mix(o.energy_fairness)
+      .mix(o.answer_completeness);
+  for (const core::ClientDeath& d : o.deaths) {
+    h.mix(d.time_s)
+        .mix(std::uint64_t{d.client})
+        .mix(std::uint64_t{d.cause == core::DeathCause::Battery});
+  }
+  for (const double j : o.client_energy_j) h.mix(j);
+  return h.value();
+}
+
 /// Three small fleets with the robustness stack on — heterogeneous
 /// batteries draining per leg, scheduled churn killing clients,
 /// replicated units racing to first answer, reassignment after timeout
@@ -348,18 +348,22 @@ void expect_fleet_bit_identical(const core::FleetOutcome& a, const core::FleetOu
 /// twice must agree bit for bit on every FleetOutcome field (every
 /// death time and per-client joule total), every trace byte and every
 /// metrics byte.  The fault RNGs are pure functions of (seed, client)
-/// and the event heap breaks time ties deterministically.
+/// and the event heap breaks time ties deterministically.  Each
+/// scenario's digest also pins the simulated numbers themselves; the
+/// values were recorded when the fleet began running Session's Table-1
+/// executor.
 TEST(Determinism, FleetScenariosBitIdentical) {
   struct Scenario {
     const char* label;
     core::SessionConfig cfg;
     core::FleetConfig fleet;
+    std::uint64_t digest;
   };
   std::vector<Scenario> scenarios;
   {
     // 1. The full robustness stack: batteries, churn, replication 2,
     // battery-aware scheduler.
-    Scenario s{"robust-stack", config(core::Scheme::FullyAtServer), {}};
+    Scenario s{"robust-stack", config(core::Scheme::FullyAtServer), {}, 0x124125870b6a4ff8ull};
     s.fleet.clients = 8;
     s.fleet.queries_per_client = 8;
     s.fleet.think_time_s = 0.3;
@@ -377,7 +381,8 @@ TEST(Determinism, FleetScenariosBitIdentical) {
     // 2. Link faults on top of client faults: the bursty-loss RNG, the
     // retry ladder, and degraded/failed exchanges must replay in the
     // same order.
-    Scenario s{"link-faults", config(core::Scheme::FilterServerRefineClient), {}};
+    Scenario s{"link-faults", config(core::Scheme::FilterServerRefineClient), {},
+               0x7c8dc9a583f278a6ull};
     s.cfg.fault = net::bursty_loss_config(0.3, /*seed=*/5);
     s.cfg.retry.retry_budget = 3;
     s.fleet.clients = 6;
@@ -396,7 +401,7 @@ TEST(Determinism, FleetScenariosBitIdentical) {
   {
     // 3. Zipf hotspots with churn + replication: the shared-stream
     // draw happens at setup, before any event runs.
-    Scenario s{"zipf-hotspots", config(core::Scheme::FullyAtServer), {}};
+    Scenario s{"zipf-hotspots", config(core::Scheme::FullyAtServer), {}, 0x09889598a9772b24ull};
     s.fleet.clients = 12;
     s.fleet.queries_per_client = 4;
     s.fleet.think_time_s = 0.15;
@@ -436,6 +441,7 @@ TEST(Determinism, FleetScenariosBitIdentical) {
     // The scenario exercises what it claims to pin.
     EXPECT_GT(a_out.deaths.size(), 0u) << s.label;
     EXPECT_GT(a_out.units_total, 0u) << s.label;
+    EXPECT_EQ(fleet_digest(a_out), s.digest) << s.label;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "core/fleet.hpp"
 #include "net/fault.hpp"
@@ -43,6 +45,77 @@ TEST(Fleet, SingleClientSanity) {
   EXPECT_LE(o.server_utilization, 1.0 + 1e-9);
   // With one client and generous think time nothing saturates.
   EXPECT_LT(o.medium_utilization, 0.9);
+}
+
+TEST(Fleet, SingleClientMatchesSession) {
+  // The K=1 oracle: the fleet and Session run the same Table-1 executor
+  // and price message legs the same way, so a lone client with no think
+  // time, no faults and the default wait policy is a Session up to the
+  // association of floating-point sums.  Every scheme x query kind x
+  // placement Session accepts, at both ends of the paper's bandwidths.
+  for (const double mbps : {2.0, 11.0}) {
+    for (const rtree::QueryKind kind :
+         {rtree::QueryKind::Point, rtree::QueryKind::Range, rtree::QueryKind::NN,
+          rtree::QueryKind::Knn, rtree::QueryKind::Route}) {
+      const bool nn = kind == rtree::QueryKind::NN || kind == rtree::QueryKind::Knn;
+      for (const Scheme s : {Scheme::FullyAtClient, Scheme::FullyAtServer,
+                             Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient}) {
+        const bool hybrid =
+            s == Scheme::FilterClientRefineServer || s == Scheme::FilterServerRefineClient;
+        if (nn && hybrid) continue;
+        for (const bool data_at_client : {true, false}) {
+          SessionConfig cfg = base_config(s, mbps);
+          cfg.placement.data_at_client = data_at_client;
+          FleetConfig f = fleet_of(1, 20);
+          f.think_time_s = 0.0;
+          f.query_kind = kind;
+          const FleetOutcome fleet = run_fleet(data(), cfg, f);
+          // Client 0's query stream, as run_fleet seeds it.
+          workload::QueryGen gen(data(), f.workload_seed * 1000);
+          const stats::Outcome session =
+              Session::run_batch(data(), cfg, gen.batch(kind, f.queries_per_client));
+          SCOPED_TRACE(std::to_string(mbps) + " Mbps " + name_of(kind) + " " + name_of(s) +
+                       (data_at_client ? " data@client" : " data@server"));
+          EXPECT_EQ(fleet.answers, session.answers);
+          ASSERT_EQ(fleet.client_energy_j.size(), 1u);
+          EXPECT_NEAR(fleet.client_energy_j[0], session.energy.total_j(),
+                      1e-12 * session.energy.total_j());
+          EXPECT_NEAR(fleet.makespan_s, session.wall_seconds, 1e-12 * session.wall_seconds);
+        }
+      }
+    }
+  }
+}
+
+TEST(Fleet, NearestNeighborQueriesRejectHybridSchemes) {
+  // The fleet runs Session's executor, so it rejects a query kind with
+  // no filtering/refinement split the way Session does.
+  for (const rtree::QueryKind kind : {rtree::QueryKind::NN, rtree::QueryKind::Knn}) {
+    for (const Scheme s : {Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient}) {
+      FleetConfig f = fleet_of(2, 3);
+      f.query_kind = kind;
+      EXPECT_THROW(run_fleet(data(), base_config(s), f), std::invalid_argument)
+          << name_of(kind) << " " << name_of(s);
+    }
+  }
+}
+
+TEST(Fleet, UtilizationStaysBelowOneUnderChurn) {
+  // Busy time counts legs and server work of units that later fail or
+  // are lost, while completions stop early in a fleet that loses most
+  // of its work; dividing by the later of the last completion and the
+  // resource's last release keeps both utilizations at most 100%.
+  SessionConfig cfg = base_config(Scheme::FullyAtServer);
+  cfg.placement.data_at_client = false;
+  FleetConfig f = fleet_of(50, 4);
+  f.think_time_s = 0.01;
+  f.churn.departure_rate_per_s = 20.0;
+  f.churn.seed = 3;
+  const FleetOutcome o = run_fleet(data(), cfg, f);
+  ASSERT_GT(o.units_lost, 0u);
+  EXPECT_GT(o.medium_utilization, 0.0);
+  EXPECT_LE(o.medium_utilization, 1.0);
+  EXPECT_LE(o.server_utilization, 1.0);
 }
 
 TEST(Fleet, AnswersScaleWithClients) {
@@ -284,9 +357,10 @@ TEST(Fleet, ReassignmentChoicesMatchGoldenValues) {
   // Which survivor inherits an orphaned unit (least load, ties to the
   // lowest id) steers every later event, so these values pin the
   // choice rule, not just run-to-run determinism.  They were recorded
-  // with a survivor search that scanned every client.  The settings are
-  // the perfbench fleet_churn workload's, at a tenth of its clients and
-  // on this suite's dataset.
+  // when the fleet began running Session's Table-1 executor, and a
+  // survivor search that scans every client reproduces them.  The
+  // settings are the perfbench fleet_churn workload's, at a tenth of its
+  // clients and on this suite's dataset.
   SessionConfig cfg = base_config(Scheme::FullyAtServer);
   cfg.fault = net::bursty_loss_config(0.05, 4);
   FleetConfig f;
@@ -300,13 +374,13 @@ TEST(Fleet, ReassignmentChoicesMatchGoldenValues) {
   f.battery.enabled = true;
   f.battery.seed = 6;
   const FleetOutcome o = run_fleet(data(), cfg, f);
-  EXPECT_EQ(o.reassignments, 28u);
+  EXPECT_EQ(o.reassignments, 34u);
   EXPECT_EQ(o.units_lost, 0u);
-  EXPECT_EQ(o.duplicate_answers, 0u);
-  EXPECT_EQ(o.deaths.size(), 280u);
-  EXPECT_EQ(o.clients_alive, 1720u);
+  EXPECT_EQ(o.duplicate_answers, 4u);
+  EXPECT_EQ(o.deaths.size(), 299u);
+  EXPECT_EQ(o.clients_alive, 1701u);
   EXPECT_EQ(o.answers, 4000u);
-  EXPECT_EQ(outcome_digest(o), 0x71bd9b96104ce2daull);
+  EXPECT_EQ(outcome_digest(o), 0xd42f97797ea68121ull);
 }
 
 TEST(Fleet, PluggedClientsNeverDieOfExhaustion) {

@@ -9,11 +9,14 @@
 #include <sstream>
 #include <string>
 
+#include "core/adaptive_session.hpp"
 #include "core/caching_client.hpp"
 #include "core/fleet.hpp"
 #include "core/session.hpp"
+#include "net/fault.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
+#include "outcome_bits.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::obs {
@@ -294,23 +297,55 @@ INSTANTIATE_TEST_SUITE_P(
         SchemeCase{core::Scheme::FilterServerRefineClient, rtree::QueryKind::Route, true}));
 
 TEST(ObsConservation, TracingDoesNotChangeTheNumbers) {
+  // A sink only watches.  Every Outcome field of every Table-1 cell
+  // Session accepts must be bit-identical with and without one attached,
+  // on a clean link and on a lossy one (retransmissions, stalls and
+  // degraded reruns included).
   workload::QueryGen gen(data(), 78);
-  const auto queries = gen.batch(rtree::QueryKind::Range, 6);
-  const auto cfg = config(core::Scheme::FilterServerRefineClient);
-
-  const stats::Outcome plain = core::Session::run_batch(data(), cfg, queries);
-  TraceSink trace;
-  const stats::Outcome traced = core::Session::run_batch(data(), cfg, queries, &trace);
-
-  // Bit-identical accounting with and without a sink attached: the only
-  // difference tracing makes is the order sleep attributions settle in,
-  // which the totals must not see beyond double roundoff.
-  EXPECT_EQ(traced.cycles.total(), plain.cycles.total());
-  EXPECT_EQ(traced.bytes_tx, plain.bytes_tx);
-  EXPECT_EQ(traced.bytes_rx, plain.bytes_rx);
-  EXPECT_EQ(traced.answers, plain.answers);
-  EXPECT_NEAR(traced.energy.total_j(), plain.energy.total_j(), 1e-12);
-  EXPECT_NEAR(traced.wall_seconds, plain.wall_seconds, 1e-12);
+  for (const bool lossy : {false, true}) {
+    for (const double mbps : {2.0, 11.0}) {
+      for (const rtree::QueryKind kind :
+           {rtree::QueryKind::Point, rtree::QueryKind::Range, rtree::QueryKind::NN,
+            rtree::QueryKind::Knn, rtree::QueryKind::Route}) {
+        const auto queries = gen.batch(kind, 20);
+        const bool nn = kind == rtree::QueryKind::NN || kind == rtree::QueryKind::Knn;
+        for (const core::Scheme s :
+             {core::Scheme::FullyAtClient, core::Scheme::FullyAtServer,
+              core::Scheme::FilterClientRefineServer, core::Scheme::FilterServerRefineClient}) {
+          if (nn && (s == core::Scheme::FilterClientRefineServer ||
+                     s == core::Scheme::FilterServerRefineClient)) {
+            continue;
+          }
+          for (const bool at_client : {true, false}) {
+            core::SessionConfig cfg = config(s, at_client);
+            cfg.channel.bandwidth_mbps = mbps;
+            if (lossy) cfg.fault = net::bursty_loss_config(0.1, /*seed=*/5);
+            const stats::Outcome plain = core::Session::run_batch(data(), cfg, queries);
+            TraceSink trace;
+            const stats::Outcome traced = core::Session::run_batch(data(), cfg, queries, &trace);
+            SCOPED_TRACE(std::string(lossy ? "lossy " : "clean ") + std::to_string(mbps) +
+                         " Mbps " + rtree::name_of(kind) + " " + core::name_of(s) +
+                         (at_client ? " data@client" : " data@server"));
+            test_support::expect_bit_identical(plain, traced);
+          }
+        }
+      }
+    }
+    // The adaptive planner's estimate is client compute pending when a
+    // query starts; it must settle the same way with a sink attached.
+    const auto mixed = gen.batch(rtree::QueryKind::Range, 20);
+    auto adaptive = [&](TraceSink* trace) {
+      core::SessionConfig cfg = config(core::Scheme::FullyAtClient);
+      if (lossy) cfg.fault = net::bursty_loss_config(0.1, /*seed=*/5);
+      core::AdaptiveSession s(data(), cfg, core::Objective::Latency);
+      s.set_trace(trace);
+      for (const auto& q : mixed) s.run_query(q);
+      return s.outcome();
+    };
+    TraceSink trace;
+    SCOPED_TRACE(lossy ? "lossy adaptive" : "clean adaptive");
+    test_support::expect_bit_identical(adaptive(nullptr), adaptive(&trace));
+  }
 }
 
 TEST(ObsConservation, CachingClientReconciles) {

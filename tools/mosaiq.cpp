@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -33,19 +32,9 @@ using namespace mosaiq;
 
 namespace {
 
-workload::Dataset load_dataset(const std::string& name, std::int64_t segments) {
-  constexpr std::int64_t kMaxSegments = std::numeric_limits<std::uint32_t>::max();
-  if (segments > kMaxSegments) {
-    throw std::invalid_argument("--segments " + std::to_string(segments) +
-                                " is out of range (at most " + std::to_string(kMaxSegments) +
-                                ")");
-  }
-  if (name == "pa") {
-    return workload::make_pa(segments > 0 ? static_cast<std::uint32_t>(segments) : 139006);
-  }
-  if (name == "nyc") {
-    return workload::make_nyc(segments > 0 ? static_cast<std::uint32_t>(segments) : 38778);
-  }
+workload::Dataset load_dataset(const std::string& name, std::uint32_t segments) {
+  if (name == "pa") return workload::make_pa(segments > 0 ? segments : 139006);
+  if (name == "nyc") return workload::make_nyc(segments > 0 ? segments : 38778);
   throw std::invalid_argument("unknown dataset '" + name + "' (expected pa|nyc)");
 }
 
@@ -128,7 +117,7 @@ core::SessionConfig config_from(const cli::ArgParser& p) {
   }
   cfg.fault.outage_rate_per_s = p.get_double("outage-rate");
   cfg.fault.outage_duration_s = p.get_double("outage-duration");
-  cfg.retry.retry_budget = static_cast<std::uint32_t>(p.get_int("retry-budget"));
+  cfg.retry.retry_budget = p.get_u32("retry-budget");
   cfg.retry.timeout_mult = p.get_double("timeout-mult");
   return cfg;
 }
@@ -139,8 +128,7 @@ std::vector<rtree::Query> workload_from(const cli::ArgParser& p, const workload:
     queries = workload::load_trace_file(p.get("workload"));
   } else {
     workload::QueryGen gen(d, static_cast<std::uint64_t>(p.get_int("seed")));
-    queries = gen.batch(parse_query_kind(p.get("query")),
-                        static_cast<std::size_t>(p.get_int("n")));
+    queries = gen.batch(parse_query_kind(p.get("query")), p.get_u32("n"));
   }
   if (p.get("save-workload") != "-") {
     workload::save_trace_file(queries, p.get("save-workload"));
@@ -187,7 +175,7 @@ int cmd_dataset(int argc, const char* const* argv) {
   p.option("dataset", "dataset: pa|nyc", "pa")
       .option("segments", "override dataset cardinality (0 = paper size)", "0");
   p.parse(argc, argv);
-  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_int("segments"));
+  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
   std::cout << "dataset:  " << d.name << "\n"
             << "segments: " << d.store.size() << "\n"
             << "data:     " << stats::fmt_bytes(d.data_bytes()) << "\n"
@@ -206,7 +194,7 @@ int cmd_run(int argc, const char* const* argv) {
       .option("per-query", "write per-query CSV deltas to this path", "-");
   p.parse(argc, argv);
 
-  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_int("segments"));
+  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
   const auto queries = workload_from(p, d);
   const core::SessionConfig cfg = config_from(p);
 
@@ -283,7 +271,7 @@ int cmd_sweep(int argc, const char* const* argv) {
       .option("distances", "comma-separated distances in m (Figure 9 axis)", "-");
   p.parse(argc, argv);
 
-  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_int("segments"));
+  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
   const auto queries = workload_from(p, d);
   const auto qk = parse_query_kind(p.get("query"));
   const bool hybrids = qk == rtree::QueryKind::Point || qk == rtree::QueryKind::Range ||
@@ -353,12 +341,12 @@ int cmd_fleet(int argc, const char* const* argv) {
       .option("think", "inter-query think time, seconds", "1.0");
   p.parse(argc, argv);
 
-  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_int("segments"));
+  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
   core::SessionConfig cfg = config_from(p);
   cfg.scheme = parse_scheme(p.get("scheme"));
 
   core::FleetConfig proto;  // the per-size configs below copy this
-  proto.queries_per_client = static_cast<std::uint32_t>(p.get_int("n"));
+  proto.queries_per_client = p.get_u32("n");
   proto.think_time_s = p.get_double("think");
   proto.query_kind = parse_query_kind(p.get("query"));
   proto.workload_seed = static_cast<std::uint64_t>(p.get_int("seed"));
@@ -372,12 +360,12 @@ int cmd_fleet(int argc, const char* const* argv) {
   proto.churn.departure_rate_per_s = p.get_double("churn-rate");
   proto.churn.seed = static_cast<std::uint64_t>(p.get_int("churn-seed"));
   proto.churn.min_uptime_s = p.get_double("churn-min-uptime");
-  proto.replication = static_cast<std::uint32_t>(p.get_int("replication"));
+  proto.replication = p.get_u32("replication");
   proto.scheduler.enabled = p.get_flag("battery-sched");
   proto.scheduler.low_charge = p.get_double("sched-low-charge");
   proto.scheduler.high_charge = p.get_double("sched-high-charge");
   proto.scheduler.horizon_s = p.get_double("sched-horizon");
-  proto.hotspots = static_cast<std::uint32_t>(p.get_int("hotspots"));
+  proto.hotspots = p.get_u32("hotspots");
   proto.zipf_theta = p.get_double("zipf-theta");
   const bool robust = proto.battery.enabled || proto.churn.enabled() ||
                       proto.replication > 1 || proto.scheduler.enabled;
@@ -405,11 +393,11 @@ int cmd_fleet(int argc, const char* const* argv) {
   }
   // --fleet-size N runs one fleet of exactly N clients (for 10^5-client
   // runs); otherwise --clients sweeps sizes.
-  const std::int64_t fleet_size = p.get_int("fleet-size");
+  const std::uint32_t fleet_size = p.get_u32("fleet-size");
   std::stringstream ss(fleet_size > 0 ? std::to_string(fleet_size) : p.get("clients"));
   for (std::string tok; std::getline(ss, tok, ',');) {
     core::FleetConfig fleet = proto;
-    fleet.clients = static_cast<std::uint32_t>(std::stoul(tok));
+    fleet.clients = fleet_size > 0 ? fleet_size : cli::parse_u32("clients", tok);
     if (obs_paths.enabled()) {
       sinks.push_back(std::make_unique<obs::TraceSink>());
       fleet.trace = sinks.back().get();
@@ -455,7 +443,7 @@ int cmd_advise(int argc, const char* const* argv) {
   add_common_options(p);
   p.parse(argc, argv);
 
-  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_int("segments"));
+  const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
   core::PlannerEnv env;
   env.bandwidth_mbps = p.get_double("bandwidth");
   env.distance_m = p.get_double("distance");
