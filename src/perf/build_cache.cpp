@@ -1,7 +1,5 @@
 #include "perf/build_cache.hpp"
 
-#include <utility>
-
 #include "perf/config_hash.hpp"
 
 namespace mosaiq::perf {
@@ -11,58 +9,18 @@ BuildCache& BuildCache::shared() {
   return cache;
 }
 
-template <typename T, typename Build>
-std::shared_ptr<const T> BuildCache::lookup(
-    std::unordered_map<std::uint64_t, std::shared_ptr<const T>>& map, std::uint64_t key,
-    Build&& build) MOSAIQ_REQUIRES(mu_) {
-  const auto it = map.find(key);
-  if (it != map.end()) {
+std::shared_ptr<const workload::Dataset> BuildCache::dataset(const workload::DatasetSpec& spec) {
+  const std::uint64_t key = hash_of(spec);
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = datasets_.find(key);
+  if (it != datasets_.end()) {
     ++stats_.hits;
     return it->second;
   }
   ++stats_.misses;
-  auto built = std::make_shared<const T>(build());
-  map.emplace(key, built);
+  auto built = std::make_shared<const workload::Dataset>(workload::make_dataset(spec));
+  datasets_.emplace(key, built);
   return built;
-}
-
-std::shared_ptr<const workload::Dataset> BuildCache::dataset(const workload::DatasetSpec& spec) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return lookup(datasets_, hash_of(spec), [&] { return workload::make_dataset(spec); });
-}
-
-std::shared_ptr<const rtree::RStarTree> BuildCache::rstar_index(const workload::DatasetSpec& spec,
-                                                               const rtree::RStarConfig& cfg) {
-  const std::shared_ptr<const workload::Dataset> d = dataset(spec);
-  const std::uint64_t key = ConfigHasher()
-                                .mix(std::string_view{"rstar"})
-                                .mix(hash_of(spec))
-                                .mix(cfg.reinsert_fraction)
-                                .mix(cfg.min_fill)
-                                .value();
-  std::lock_guard<std::mutex> lk(mu_);
-  return lookup(rstar_, key, [&] { return rtree::RStarTree::build(d->store, cfg); });
-}
-
-std::shared_ptr<const rtree::PmrQuadtree> BuildCache::pmr_index(const workload::DatasetSpec& spec,
-                                                                const rtree::PmrConfig& cfg) {
-  const std::shared_ptr<const workload::Dataset> d = dataset(spec);
-  const std::uint64_t key = ConfigHasher()
-                                .mix(std::string_view{"pmr"})
-                                .mix(hash_of(spec))
-                                .mix(static_cast<std::uint64_t>(cfg.split_threshold))
-                                .mix(static_cast<std::uint64_t>(cfg.max_depth))
-                                .value();
-  std::lock_guard<std::mutex> lk(mu_);
-  return lookup(pmr_, key, [&] { return rtree::PmrQuadtree::build(d->store, cfg); });
-}
-
-std::shared_ptr<const rtree::BuddyTree> BuildCache::buddy_index(const workload::DatasetSpec& spec) {
-  const std::shared_ptr<const workload::Dataset> d = dataset(spec);
-  const std::uint64_t key =
-      ConfigHasher().mix(std::string_view{"buddy"}).mix(hash_of(spec)).value();
-  std::lock_guard<std::mutex> lk(mu_);
-  return lookup(buddy_, key, [&] { return rtree::BuddyTree::build(d->store); });
 }
 
 CacheStats BuildCache::stats() const {
@@ -73,9 +31,6 @@ CacheStats BuildCache::stats() const {
 void BuildCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   datasets_.clear();
-  rstar_.clear();
-  pmr_.clear();
-  buddy_.clear();
   stats_ = {};
 }
 

@@ -1,13 +1,11 @@
-// Memoized dataset + index construction for the experiment fleet.
+// Memoized dataset construction for the experiment fleet.
 //
 // Every harness (figure/ablation binaries, the mosaiq-bench registry,
 // the CLI) starts from the same expensive, deterministic prep: generate
-// a TIGER-like dataset, Hilbert-sort it, bulk-load the packed R-tree —
-// and the index-comparison experiments additionally build R*, buddy,
-// and PMR-quadtree structures over the same store.  BuildCache keys
-// each build by a ConfigHasher digest of its full configuration and
-// hands out shared immutable results, so a process that touches the
-// same (dataset, index) cell twice pays for it once.  This is the
+// a TIGER-like dataset, Hilbert-sort it, bulk-load the packed R-tree.
+// BuildCache keys each dataset by a ConfigHasher digest of its full
+// spec and hands out shared immutable results, so a process that
+// touches the same dataset twice pays for it once.  This is the
 // "reusable partition/index artifacts" discipline from the
 // sweep-at-scale spatial literature (Aji et al.; Akdogan), applied
 // in-process.
@@ -25,9 +23,6 @@
 #include <unordered_map>
 
 #include "core/annotations.hpp"
-#include "rtree/buddy_tree.hpp"
-#include "rtree/pmr_quadtree.hpp"
-#include "rtree/rstar_tree.hpp"
 #include "workload/dataset.hpp"
 
 namespace mosaiq::perf {
@@ -52,14 +47,6 @@ class BuildCache MOSAIQ_THREAD_SAFE {
   /// memoized on hash_of(spec).
   std::shared_ptr<const workload::Dataset> dataset(const workload::DatasetSpec& spec);
 
-  /// Secondary indexes over a cached dataset's store, memoized on
-  /// (dataset key, index parameters).
-  std::shared_ptr<const rtree::RStarTree> rstar_index(const workload::DatasetSpec& spec,
-                                                      const rtree::RStarConfig& cfg = {});
-  std::shared_ptr<const rtree::PmrQuadtree> pmr_index(const workload::DatasetSpec& spec,
-                                                      const rtree::PmrConfig& cfg = {});
-  std::shared_ptr<const rtree::BuddyTree> buddy_index(const workload::DatasetSpec& spec);
-
   CacheStats stats() const;
 
   /// Drops every entry (tests / memory pressure).  Outstanding
@@ -67,21 +54,9 @@ class BuildCache MOSAIQ_THREAD_SAFE {
   void clear();
 
  private:
-  /// Memoized find-or-build over one of the maps below; the public
-  /// entry points take mu_ and hand the map over under it.
-  template <typename T, typename Build>
-  std::shared_ptr<const T> lookup(std::unordered_map<std::uint64_t, std::shared_ptr<const T>>& map,
-                                  std::uint64_t key, Build&& build) MOSAIQ_REQUIRES(mu_);
-
   mutable std::mutex mu_;
   CacheStats stats_ MOSAIQ_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, std::shared_ptr<const workload::Dataset>> datasets_
-      MOSAIQ_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<const rtree::RStarTree>> rstar_
-      MOSAIQ_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<const rtree::PmrQuadtree>> pmr_
-      MOSAIQ_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<const rtree::BuddyTree>> buddy_
       MOSAIQ_GUARDED_BY(mu_);
 };
 

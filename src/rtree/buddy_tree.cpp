@@ -109,8 +109,9 @@ void BuddyTree::split(std::uint32_t ni, std::uint32_t level) {
   }
 }
 
-void BuddyTree::filter_point(const geom::Point& p, ExecHooks& hooks,
-                             std::vector<std::uint32_t>& out) const {
+template <typename Pred>
+void BuddyTree::descend(const InstrMix& pred_cost, Pred&& pred, ExecHooks& hooks,
+                        std::vector<std::uint32_t>& out) const {
   if (size_ == 0) return;
   std::uint64_t result_addr = simaddr::kScratchBase + (5u << 20);
   std::vector<std::uint32_t> stack{0};
@@ -119,9 +120,9 @@ void BuddyTree::filter_point(const geom::Point& p, ExecHooks& hooks,
     stack.pop_back();
     const BNode& n = nodes_[ni];
     hooks.instr(costs::kNodeVisit);
-    hooks.instr(costs::kRectContainsPoint);
+    hooks.instr(pred_cost);
     hooks.read(node_addr(ni), kNodeHeaderBytes);
-    if (!n.mbr.contains(p)) continue;
+    if (!pred(n.mbr)) continue;
     if (!n.leaf) {
       hooks.read(node_addr(ni) + kNodeHeaderBytes, 8);  // child pointers
       stack.push_back(n.left);
@@ -130,9 +131,9 @@ void BuddyTree::filter_point(const geom::Point& p, ExecHooks& hooks,
     }
     for (std::size_t e = 0; e < n.entries.size(); ++e) {
       hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectContainsPoint);
+      hooks.instr(pred_cost);
       hooks.read(node_addr(ni) + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.entries[e].mbr.contains(p)) {
+      if (pred(n.entries[e].mbr)) {
         hooks.instr(costs::kResultPush);
         hooks.write(result_addr, 4);
         result_addr += 4;
@@ -142,37 +143,17 @@ void BuddyTree::filter_point(const geom::Point& p, ExecHooks& hooks,
   }
 }
 
+void BuddyTree::filter_point(const geom::Point& p, ExecHooks& hooks,
+                             std::vector<std::uint32_t>& out) const {
+  descend(costs::kRectContainsPoint, [&](const geom::Rect& r) { return r.contains(p); }, hooks,
+          out);
+}
+
 void BuddyTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
                              std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase + (5u << 20);
-  std::vector<std::uint32_t> stack{0};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const BNode& n = nodes_[ni];
-    hooks.instr(costs::kNodeVisit);
-    hooks.instr(costs::kRectOverlap);
-    hooks.read(node_addr(ni), kNodeHeaderBytes);
-    if (n.mbr.is_empty() || !n.mbr.intersects(window)) continue;
-    if (!n.leaf) {
-      hooks.read(node_addr(ni) + kNodeHeaderBytes, 8);
-      stack.push_back(n.left);
-      stack.push_back(n.right);
-      continue;
-    }
-    for (std::size_t e = 0; e < n.entries.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectOverlap);
-      hooks.read(node_addr(ni) + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.entries[e].mbr.intersects(window)) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.entries[e].record);
-      }
-    }
-  }
+  // A subtree that never received data keeps an empty minimal rect.
+  descend(costs::kRectOverlap,
+          [&](const geom::Rect& r) { return !r.is_empty() && r.intersects(window); }, hooks, out);
 }
 
 std::vector<NNResult> BuddyTree::nearest_k(const geom::Point& p, std::uint32_t k,
@@ -223,9 +204,7 @@ std::vector<NNResult> BuddyTree::nearest_k(const geom::Point& p, std::uint32_t k
 
 std::optional<NNResult> BuddyTree::nearest(const geom::Point& p, const SegmentStore& store,
                                            ExecHooks& hooks) const {
-  std::vector<NNResult> r = nearest_k(p, 1, store, hooks);
-  if (r.empty()) return std::nullopt;
-  return r.front();
+  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 bool BuddyTree::validate(const SegmentStore& store) const {

@@ -47,7 +47,7 @@ class BuddyTree {
 
   void filter_point(const geom::Point& p, ExecHooks& hooks, std::vector<std::uint32_t>& out) const;
   void filter_range(const geom::Rect& window, ExecHooks& hooks,
-                    std::vector<std::uint32_t>& out) const;
+                     std::vector<std::uint32_t>& out) const;
   std::optional<NNResult> nearest(const geom::Point& p, const SegmentStore& store,
                                   ExecHooks& hooks) const;
   std::vector<NNResult> nearest_k(const geom::Point& p, std::uint32_t k,
@@ -74,6 +74,12 @@ class BuddyTree {
   };
 
   void split(std::uint32_t ni, std::uint32_t level);
+  /// Filtering descent shared by point and range queries: appends the
+  /// records whose MBR satisfies `pred`, pruning subtrees whose minimal
+  /// rect fails it.  Each test is charged `pred_cost`.
+  template <typename Pred>
+  void descend(const InstrMix& pred_cost, Pred&& pred, ExecHooks& hooks,
+               std::vector<std::uint32_t>& out) const;
   std::uint64_t node_addr(std::uint32_t i) const {
     return base_addr_ + static_cast<std::uint64_t>(i) * kNodeBytes;
   }

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
 
-#include "geom/predicates.hpp"
-#include "rtree/costs.hpp"
+#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -27,7 +25,7 @@ DynamicRTree DynamicRTree::build(const SegmentStore& store) {
 std::uint32_t DynamicRTree::choose_leaf(const geom::Rect& mbr) const {
   std::uint32_t ni = root_;
   while (!nodes_[ni].leaf) {
-    const DNode& n = nodes_[ni];
+    const DynNode& n = nodes_[ni];
     double best_enl = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
     std::uint32_t best = n.children.front();
@@ -47,7 +45,7 @@ std::uint32_t DynamicRTree::choose_leaf(const geom::Rect& mbr) const {
 
 void DynamicRTree::insert(std::uint32_t rec, const geom::Rect& mbr) {
   const std::uint32_t leaf = choose_leaf(mbr);
-  DNode& n = nodes_[leaf];
+  DynNode& n = nodes_[leaf];
   n.children.push_back(rec);
   n.rects.push_back(mbr);
   n.mbr.expand(mbr);
@@ -63,7 +61,7 @@ void DynamicRTree::split(std::uint32_t ni) {
   // Guttman's quadratic split: pick the pair of entries whose combined
   // MBR wastes the most area as seeds, then assign the rest greedily by
   // enlargement preference.
-  DNode& n = nodes_[ni];
+  DynNode& n = nodes_[ni];
   const std::size_t m = n.children.size();
   assert(m > 1);
 
@@ -82,11 +80,11 @@ void DynamicRTree::split(std::uint32_t ni) {
     }
   }
 
-  DNode a;
-  DNode b;
+  DynNode a;
+  DynNode b;
   a.leaf = b.leaf = n.leaf;
   a.parent = b.parent = n.parent;
-  auto push = [](DNode& d, std::uint32_t child, const geom::Rect& r) {
+  auto push = [](DynNode& d, std::uint32_t child, const geom::Rect& r) {
     d.children.push_back(child);
     d.rects.push_back(r);
     d.mbr.expand(r);
@@ -132,7 +130,7 @@ void DynamicRTree::split(std::uint32_t ni) {
   if (parent == kNoNode) {
     // Root split: create a new root above both halves.
     const std::uint32_t new_root = static_cast<std::uint32_t>(nodes_.size());
-    DNode r;
+    DynNode r;
     r.leaf = false;
     r.children = {ni, bi};
     r.rects = {nodes_[ni].mbr, nodes_[bi].mbr};
@@ -145,7 +143,7 @@ void DynamicRTree::split(std::uint32_t ni) {
     return;
   }
 
-  DNode& p = nodes_[parent];
+  DynNode& p = nodes_[parent];
   for (std::size_t e = 0; e < p.children.size(); ++e) {
     if (p.children[e] == ni) {
       p.rects[e] = nodes_[ni].mbr;
@@ -166,7 +164,7 @@ void DynamicRTree::adjust_upward(std::uint32_t ni) {
   std::uint32_t cur = ni;
   while (nodes_[cur].parent != kNoNode) {
     const std::uint32_t p = nodes_[cur].parent;
-    DNode& pn = nodes_[p];
+    DynNode& pn = nodes_[p];
     for (std::size_t e = 0; e < pn.children.size(); ++e) {
       if (pn.children[e] == cur) {
         pn.rects[e] = nodes_[cur].mbr;
@@ -180,137 +178,50 @@ void DynamicRTree::adjust_upward(std::uint32_t ni) {
 
 void DynamicRTree::filter_point(const geom::Point& p, ExecHooks& hooks,
                                 std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const DNode& n = nodes_[ni];
-    const std::uint64_t na = node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectContainsPoint);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!n.rects[e].contains(p)) continue;
-      if (n.leaf) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.children[e]);
-      } else {
-        stack.push_back(n.children[e]);
-      }
-    }
-  }
+  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
 }
 
 void DynamicRTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
                                 std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const DNode& n = nodes_[ni];
-    const std::uint64_t na = node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectOverlap);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!n.rects[e].intersects(window)) continue;
-      if (n.leaf) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.children[e]);
-      } else {
-        stack.push_back(n.children[e]);
-      }
-    }
-  }
+  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
 }
 
 std::optional<NNResult> DynamicRTree::nearest(const geom::Point& p, const SegmentStore& store,
                                               ExecHooks& hooks) const {
-  std::vector<NNResult> r = nearest_k(p, 1, store, hooks);
-  if (r.empty()) return std::nullopt;
-  return r.front();
+  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 std::vector<NNResult> DynamicRTree::nearest_k(const geom::Point& p, std::uint32_t k,
                                               const SegmentStore& store,
                                               ExecHooks& hooks) const {
-  std::vector<NNResult> out;
-  if (size_ == 0 || k == 0) return out;
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.push({0.0, false, root_});
-  while (!heap.empty()) {
-    hooks.instr(costs::kHeapOp);
-    const Item it = heap.top();
-    heap.pop();
-    if (it.is_data) {
-      out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-      if (out.size() == k) return out;
-      continue;
-    }
-    const DNode& n = nodes_[it.idx];
-    const std::uint64_t na = node_addr(it.idx);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.leaf) {
-        const geom::Segment& s = store.fetch(n.children[e], hooks);
-        hooks.instr(costs::kPointSegDist2);
-        heap.push({geom::point_segment_dist2(p, s), true, n.children[e]});
-      } else {
-        hooks.instr(costs::kRectDist2);
-        heap.push({n.rects[e].dist2(p), false, n.children[e]});
-      }
-      hooks.instr(costs::kHeapOp);
-    }
-  }
-  return out;  // fewer than k records in the tree
+  return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks);
 }
 
-bool DynamicRTree::validate() const {
-  if (size_ == 0) return true;
-  std::size_t records = 0;
-  std::vector<std::uint32_t> stack{root_};
+bool valid_dyn_tree(const std::vector<DynNode>& nodes, std::uint32_t root, std::size_t records) {
+  if (records == 0) return true;
+  std::size_t seen = 0;
+  std::vector<std::uint32_t> stack{root};
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
-    const DNode& n = nodes_[ni];
+    const DynNode& n = nodes[ni];
     if (n.children.size() != n.rects.size()) return false;
     if (n.children.size() > kNodeCapacity) return false;
     geom::Rect cover = geom::Rect::empty();
     for (std::size_t e = 0; e < n.children.size(); ++e) {
       cover.expand(n.rects[e]);
       if (!n.leaf) {
-        const DNode& c = nodes_[n.children[e]];
+        const DynNode& c = nodes[n.children[e]];
         if (c.parent != ni) return false;
         if (!n.rects[e].contains(c.mbr)) return false;
         stack.push_back(n.children[e]);
       } else {
-        ++records;
+        ++seen;
       }
     }
     if (!n.mbr.contains(cover)) return false;
   }
-  return records == size_;
+  return seen == records;
 }
 
 }  // namespace mosaiq::rtree

@@ -20,6 +20,28 @@
 
 namespace mosaiq::rtree {
 
+/// Node of the Guttman and R*-trees: child ids and their rects in
+/// parallel arrays, plus a parent link for upward adjustment.
+struct DynNode {
+  bool leaf = true;
+  geom::Rect mbr = geom::Rect::empty();
+  std::vector<std::uint32_t> children;  ///< node indices or record indices
+  std::vector<geom::Rect> rects;        ///< child MBRs (parallel array)
+  std::uint32_t parent = kNoNode;
+
+  // Node accessors of the shared traversals (rtree/search.hpp).
+  friend bool is_leaf(const DynNode& n) { return n.leaf; }
+  friend std::size_t entry_count(const DynNode& n) { return n.children.size(); }
+  friend const geom::Rect& entry_rect(const DynNode& n, std::size_t e) { return n.rects[e]; }
+  friend std::uint32_t entry_child(const DynNode& n, std::size_t e) { return n.children[e]; }
+};
+
+/// Structural invariants of a DynNode tree holding `records` records:
+/// no node overflows, every node's MBR covers its entries, every
+/// internal entry's rect covers its child and the child links back, and
+/// the leaves hold `records` entries in all.
+bool valid_dyn_tree(const std::vector<DynNode>& nodes, std::uint32_t root, std::size_t records);
+
 class DynamicRTree {
  public:
   explicit DynamicRTree(std::uint64_t base_addr = simaddr::kIndexBase + (64ull << 20))
@@ -49,26 +71,14 @@ class DynamicRTree {
 
   /// Structural invariants (parent MBRs cover children, record multiset
   /// matches insertions); used by tests.
-  bool validate() const;
+  bool validate() const { return valid_dyn_tree(nodes_, root_, size_); }
 
  private:
-  struct DNode {
-    bool leaf = true;
-    geom::Rect mbr = geom::Rect::empty();
-    std::vector<std::uint32_t> children;  ///< node indices or record indices
-    std::vector<geom::Rect> rects;        ///< child MBRs (parallel array)
-    std::uint32_t parent = kNoNode;
-  };
-  static constexpr std::uint32_t kNoNode = 0xffffffffu;
-
   std::uint32_t choose_leaf(const geom::Rect& mbr) const;
   void split(std::uint32_t ni);
   void adjust_upward(std::uint32_t ni);
-  std::uint64_t node_addr(std::uint32_t i) const {
-    return base_addr_ + static_cast<std::uint64_t>(i) * kNodeBytes;
-  }
 
-  std::vector<DNode> nodes_{DNode{}};  // node 0 is the root
+  std::vector<DynNode> nodes_{DynNode{}};  // node 0 is the root
   std::uint32_t root_ = 0;
   std::uint32_t height_ = 1;
   std::size_t size_ = 0;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <queue>
 
-#include "geom/predicates.hpp"
-#include "rtree/costs.hpp"
+#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -228,109 +225,23 @@ void HilbertRTree::insert(std::uint32_t rec, const geom::Segment& seg) {
 
 void HilbertRTree::filter_point(const geom::Point& p, ExecHooks& hooks,
                                 std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const HNode& n = nodes_[ni];
-    const std::uint64_t na = node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.entries.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectContainsPoint);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!n.entries[e].rect.contains(p)) continue;
-      if (n.leaf) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.entries[e].child);
-      } else {
-        stack.push_back(n.entries[e].child);
-      }
-    }
-  }
+  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
 }
 
 void HilbertRTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
                                 std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const HNode& n = nodes_[ni];
-    const std::uint64_t na = node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.entries.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectOverlap);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!n.entries[e].rect.intersects(window)) continue;
-      if (n.leaf) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.entries[e].child);
-      } else {
-        stack.push_back(n.entries[e].child);
-      }
-    }
-  }
+  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
 }
 
 std::vector<NNResult> HilbertRTree::nearest_k(const geom::Point& p, std::uint32_t k,
                                               const SegmentStore& store,
                                               ExecHooks& hooks) const {
-  std::vector<NNResult> out;
-  if (size_ == 0 || k == 0) return out;
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.push({0.0, false, root_});
-  while (!heap.empty()) {
-    hooks.instr(costs::kHeapOp);
-    const Item it = heap.top();
-    heap.pop();
-    if (it.is_data) {
-      out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-      if (out.size() == k) return out;
-      continue;
-    }
-    const HNode& n = nodes_[it.idx];
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(node_addr(it.idx), kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.entries.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.read(node_addr(it.idx) + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.leaf) {
-        const geom::Segment& s = store.fetch(n.entries[e].child, hooks);
-        hooks.instr(costs::kPointSegDist2);
-        heap.push({geom::point_segment_dist2(p, s), true, n.entries[e].child});
-      } else {
-        hooks.instr(costs::kRectDist2);
-        heap.push({n.entries[e].rect.dist2(p), false, n.entries[e].child});
-      }
-      hooks.instr(costs::kHeapOp);
-    }
-  }
-  return out;
+  return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks);
 }
 
 std::optional<NNResult> HilbertRTree::nearest(const geom::Point& p, const SegmentStore& store,
                                               ExecHooks& hooks) const {
-  std::vector<NNResult> r = nearest_k(p, 1, store, hooks);
-  if (r.empty()) return std::nullopt;
-  return r.front();
+  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 bool HilbertRTree::validate() const {

@@ -68,8 +68,15 @@ class HilbertRTree {
     bool leaf = true;
     std::uint32_t parent = kNoNode;
     std::vector<HEntry> entries;  ///< ascending by lhv
+
+    // Node accessors of the shared traversals (rtree/search.hpp).
+    friend bool is_leaf(const HNode& n) { return n.leaf; }
+    friend std::size_t entry_count(const HNode& n) { return n.entries.size(); }
+    friend const geom::Rect& entry_rect(const HNode& n, std::size_t e) {
+      return n.entries[e].rect;
+    }
+    friend std::uint32_t entry_child(const HNode& n, std::size_t e) { return n.entries[e].child; }
   };
-  static constexpr std::uint32_t kNoNode = 0xffffffffu;
 
   std::uint32_t choose_leaf(std::uint64_t h) const;
   void insert_sorted(HNode& n, HEntry e);
@@ -79,9 +86,6 @@ class HilbertRTree {
   void refresh_ancestors(std::uint32_t ni);
   /// Recomputes this node's (rect, lhv) summary.
   HEntry summary_of(std::uint32_t ni) const;
-  std::uint64_t node_addr(std::uint32_t i) const {
-    return base_addr_ + static_cast<std::uint64_t>(i) * kNodeBytes;
-  }
 
   hilbert::Mapper mapper_;
   std::vector<HNode> nodes_{HNode{}};

@@ -1,14 +1,15 @@
-// Packed R-tree node layout.
+// R-tree node layout.
 //
-// Nodes use float32 MBRs (standard practice for memory-resident spatial
-// indexes and what gives the paper's ~3.5 MB index for the 139 K-segment
-// PA dataset): 20 B per entry, 25 entries per 512 B node.  The float MBR
-// is always a *conservative* (outward-rounded) cover of the double MBR,
-// so filtering never drops a true answer.
+// Packed nodes use float32 MBRs (standard practice for memory-resident
+// spatial indexes and what gives the paper's ~3.5 MB index for the
+// 139 K-segment PA dataset): 20 B per entry, 25 entries per 512 B node.
+// The float MBR is always a *conservative* (outward-rounded) cover of
+// the double MBR, so filtering never drops a true answer.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -81,6 +82,15 @@ struct Node {
   std::array<NodeEntry, kNodeCapacity> entries{};
 
   bool is_leaf() const { return level == 0; }
+
+  // Node accessors of the shared traversals (rtree/search.hpp).
+  friend bool is_leaf(const Node& n) { return n.is_leaf(); }
+  friend std::size_t entry_count(const Node& n) { return n.count; }
+  friend const Mbr32& entry_rect(const Node& n, std::size_t e) { return n.entries[e].mbr; }
+  friend std::uint32_t entry_child(const Node& n, std::size_t e) { return n.entries[e].child; }
 };
+
+/// Parent link of a root node in the insertion-built trees.
+inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 
 }  // namespace mosaiq::rtree

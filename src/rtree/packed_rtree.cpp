@@ -8,6 +8,7 @@
 #include "geom/predicates.hpp"
 #include "hilbert/hilbert.hpp"
 #include "rtree/costs.hpp"
+#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -123,52 +124,14 @@ geom::Rect PackedRTree::extent() const {
   return r;
 }
 
-namespace {
-
-/// Depth-first filtering shared by point and range queries.  `Pred` tests
-/// one Mbr32 against the query.
-template <typename Pred>
-void filter_dfs(const PackedRTree& t, ExecHooks& hooks, const InstrMix& pred_cost, Pred&& pred,
-                std::vector<std::uint32_t>& out) {
-  if (t.empty()) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{t.root()};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const Node& n = t.node(ni);
-    const std::uint64_t na = t.node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::uint32_t e = 0; e < n.count; ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(pred_cost);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!pred(n.entries[e].mbr)) continue;
-      if (n.is_leaf()) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.entries[e].child);
-      } else {
-        stack.push_back(n.entries[e].child);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void PackedRTree::filter_point(const geom::Point& p, ExecHooks& hooks,
                                std::vector<std::uint32_t>& out) const {
-  filter_dfs(*this, hooks, costs::kRectContainsPoint,
-             [&](const Mbr32& m) { return m.contains(p); }, out);
+  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
 }
 
 void PackedRTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
                                std::vector<std::uint32_t>& out) const {
-  filter_dfs(*this, hooks, costs::kRectOverlap,
-             [&](const Mbr32& m) { return m.intersects(window); }, out);
+  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
 }
 
 void PackedRTree::filter_route(std::span<const geom::Segment> legs, ExecHooks& hooks,
@@ -181,7 +144,7 @@ void PackedRTree::filter_route(std::span<const geom::Segment> legs, ExecHooks& h
   for (const geom::Segment& l : legs) leg_mbrs.push_back(l.mbr());
 
   const std::size_t first_out = out.size();
-  filter_dfs(*this, hooks, InstrMix{}, [&](const Mbr32& m) {
+  filter_dfs(nodes_, root_, base_addr_, hooks, InstrMix{}, [&](const Mbr32& m) {
     const geom::Rect r = m.rect();
     for (std::size_t i = 0; i < legs.size(); ++i) {
       hooks.instr(costs::kRectOverlap);
@@ -250,9 +213,7 @@ std::vector<std::uint32_t> PackedRTree::leaf_sequence() const {
 
 std::optional<NNResult> PackedRTree::nearest(const geom::Point& p, const SegmentStore& store,
                                              ExecHooks& hooks) const {
-  std::vector<NNResult> r = nearest_k(p, 1, store, hooks);
-  if (r.empty()) return std::nullopt;
-  return r.front();
+  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 std::vector<NNResult> PackedRTree::nearest_k(const geom::Point& p, std::uint32_t k,

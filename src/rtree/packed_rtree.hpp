@@ -51,6 +51,12 @@ struct NNResult {
   double dist = 0.0;
 };
 
+/// The nearest result of a k-NN answer, if it has one.
+inline std::optional<NNResult> nearest_of(const std::vector<NNResult>& knn) {
+  if (knn.empty()) return std::nullopt;
+  return knn.front();
+}
+
 class PackedRTree {
  public:
   PackedRTree() = default;

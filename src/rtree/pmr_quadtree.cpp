@@ -125,10 +125,9 @@ void PmrQuadtree::charge_leaf_scan(const QNode& n, std::uint64_t addr, ExecHooks
   }
 }
 
-void PmrQuadtree::filter_point(const geom::Point& p, ExecHooks& hooks,
-                               std::vector<std::uint32_t>& out) const {
-  // Single-path descent: exactly one cell contains the point (ties on
-  // cell boundaries resolved by scanning all containing quadrants).
+template <typename Pred>
+void PmrQuadtree::descend(const InstrMix& pred_cost, Pred&& pred, ExecHooks& hooks,
+                          std::vector<std::uint32_t>& out) const {
   std::uint64_t result_addr = simaddr::kScratchBase + (3u << 20);
   std::vector<std::uint32_t> stack{0};
   while (!stack.empty()) {
@@ -136,9 +135,9 @@ void PmrQuadtree::filter_point(const geom::Point& p, ExecHooks& hooks,
     stack.pop_back();
     const QNode& n = nodes_[ni];
     hooks.instr(costs::kNodeVisit);
-    hooks.instr(costs::kRectContainsPoint);
+    hooks.instr(pred_cost);
     hooks.read(node_addr(ni), 8);
-    if (!n.cell.contains(p)) continue;
+    if (!pred(n.cell)) continue;
     if (!n.leaf) {
       hooks.read(node_addr(ni) + 8, 16);  // child pointers
       for (const std::uint32_t c : n.children) stack.push_back(c);
@@ -153,6 +152,14 @@ void PmrQuadtree::filter_point(const geom::Point& p, ExecHooks& hooks,
       out.push_back(rec);
     }
   }
+}
+
+void PmrQuadtree::filter_point(const geom::Point& p, ExecHooks& hooks,
+                               std::vector<std::uint32_t>& out) const {
+  // Single-path descent: exactly one cell contains the point (ties on
+  // cell boundaries resolved by scanning all containing quadrants).
+  descend(costs::kRectContainsPoint, [&](const geom::Rect& cell) { return cell.contains(p); },
+          hooks, out);
   // Boundary points can reach several leaves: deduplicate.
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -160,31 +167,9 @@ void PmrQuadtree::filter_point(const geom::Point& p, ExecHooks& hooks,
 
 void PmrQuadtree::filter_range(const geom::Rect& window, ExecHooks& hooks,
                                std::vector<std::uint32_t>& out) const {
-  std::uint64_t result_addr = simaddr::kScratchBase + (3u << 20);
-  std::vector<std::uint32_t> stack{0};
   std::size_t collected0 = out.size();
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const QNode& n = nodes_[ni];
-    hooks.instr(costs::kNodeVisit);
-    hooks.instr(costs::kRectOverlap);
-    hooks.read(node_addr(ni), 8);
-    if (!n.cell.intersects(window)) continue;
-    if (!n.leaf) {
-      hooks.read(node_addr(ni) + 8, 16);
-      for (const std::uint32_t c : n.children) stack.push_back(c);
-      continue;
-    }
-    charge_leaf_scan(n, node_addr(ni), hooks);
-    for (const std::uint32_t rec : n.records) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kResultPush);
-      hooks.write(result_addr, 4);
-      result_addr += 4;
-      out.push_back(rec);
-    }
-  }
+  descend(costs::kRectOverlap, [&](const geom::Rect& cell) { return cell.intersects(window); },
+          hooks, out);
   // Deduplicate (segments straddle cells); the sort cost is charged as
   // n log n comparison steps over the duplicated candidate list.
   const std::size_t m = out.size() - collected0;  // mosaiq-lint: allow(unsigned-wrap) — out only grew since the collected0 snapshot
@@ -255,9 +240,7 @@ std::vector<NNResult> PmrQuadtree::nearest_k(const geom::Point& p, std::uint32_t
 
 std::optional<NNResult> PmrQuadtree::nearest(const geom::Point& p, const SegmentStore& store,
                                              ExecHooks& hooks) const {
-  std::vector<NNResult> r = nearest_k(p, 1, store, hooks);
-  if (r.empty()) return std::nullopt;
-  return r.front();
+  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 bool PmrQuadtree::validate(const SegmentStore& store) const {

@@ -90,6 +90,12 @@ class PmrQuadtree {
   }
   /// Charged read of a leaf's record list (header + chained blocks).
   void charge_leaf_scan(const QNode& n, std::uint64_t addr, ExecHooks& hooks) const;
+  /// Filtering descent shared by point and range queries: appends every
+  /// record of each leaf whose cell satisfies `pred` (a record appears
+  /// once per such leaf).  Each cell test is charged `pred_cost`.
+  template <typename Pred>
+  void descend(const InstrMix& pred_cost, Pred&& pred, ExecHooks& hooks,
+               std::vector<std::uint32_t>& out) const;
 
   PmrConfig cfg_;
   std::vector<QNode> nodes_;

@@ -5,10 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <queue>
 
-#include "geom/predicates.hpp"
-#include "rtree/costs.hpp"
+#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -43,7 +41,7 @@ std::size_t RStarTree::node_count() const {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
     ++n;
-    const RNode& node = nodes_[ni];
+    const DynNode& node = nodes_[ni];
     if (!node.leaf) {
       for (const std::uint32_t c : node.children) stack.push_back(c);
     }
@@ -66,7 +64,7 @@ std::uint32_t RStarTree::choose_subtree(const geom::Rect& mbr,
   std::uint32_t cur = root_;
   std::uint32_t cur_level = height_ - 1;
   while (cur_level > target_level) {
-    const RNode& n = nodes_[cur];
+    const DynNode& n = nodes_[cur];
     std::uint32_t best = n.children.front();
     if (cur_level == 1) {
       // Children are leaves: minimize overlap enlargement
@@ -112,7 +110,7 @@ std::uint32_t RStarTree::choose_subtree(const geom::Rect& mbr,
 }
 
 void RStarTree::recompute_mbr(std::uint32_t ni) {
-  RNode& n = nodes_[ni];
+  DynNode& n = nodes_[ni];
   n.mbr = geom::Rect::empty();
   for (const geom::Rect& r : n.rects) n.mbr.expand(r);
 }
@@ -121,7 +119,7 @@ void RStarTree::adjust_upward(std::uint32_t ni) {
   std::uint32_t cur = ni;
   while (nodes_[cur].parent != kNoNode) {
     const std::uint32_t p = nodes_[cur].parent;
-    RNode& pn = nodes_[p];
+    DynNode& pn = nodes_[p];
     for (std::size_t e = 0; e < pn.children.size(); ++e) {
       if (pn.children[e] == cur) {
         pn.rects[e] = nodes_[cur].mbr;
@@ -142,7 +140,7 @@ void RStarTree::insert(std::uint32_t rec, const geom::Rect& mbr) {
 void RStarTree::insert_at_level(Entry e, std::uint32_t target_level, bool is_record,
                                 std::uint32_t depth_budget) {
   const std::uint32_t ni = choose_subtree(e.rect, target_level);
-  RNode& n = nodes_[ni];
+  DynNode& n = nodes_[ni];
   n.children.push_back(e.child);
   n.rects.push_back(e.rect);
   n.mbr.expand(e.rect);
@@ -162,7 +160,7 @@ void RStarTree::overflow(std::uint32_t ni, std::uint32_t level, std::uint32_t de
 
   // Evict the p% entries whose centers lie farthest from the node
   // center, then reinsert them at the same level (far-reinsert order).
-  RNode& n = nodes_[ni];
+  DynNode& n = nodes_[ni];
   const geom::Point c = n.mbr.center();
   std::vector<std::size_t> order(n.children.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -202,7 +200,7 @@ void RStarTree::split(std::uint32_t ni) {
   // (ties: minimum total area).
   std::vector<Entry> entries;
   {
-    RNode& n = nodes_[ni];
+    DynNode& n = nodes_[ni];
     entries.reserve(n.children.size());
     for (std::size_t i = 0; i < n.children.size(); ++i) {
       entries.push_back({n.children[i], n.rects[i]});
@@ -255,8 +253,8 @@ void RStarTree::split(std::uint32_t ni) {
   const bool leaf = nodes_[ni].leaf;
   const std::uint32_t parent = nodes_[ni].parent;
 
-  RNode a;
-  RNode b;
+  DynNode a;
+  DynNode b;
   a.leaf = b.leaf = leaf;
   a.parent = b.parent = parent;
   for (std::size_t i = 0; i < best_k; ++i) {
@@ -280,7 +278,7 @@ void RStarTree::split(std::uint32_t ni) {
 
   if (parent == kNoNode) {
     const std::uint32_t new_root = static_cast<std::uint32_t>(nodes_.size());
-    RNode r;
+    DynNode r;
     r.leaf = false;
     r.children = {ni, bi};
     r.rects = {nodes_[ni].mbr, nodes_[bi].mbr};
@@ -293,7 +291,7 @@ void RStarTree::split(std::uint32_t ni) {
     return;
   }
 
-  RNode& p = nodes_[parent];
+  DynNode& p = nodes_[parent];
   for (std::size_t e = 0; e < p.children.size(); ++e) {
     if (p.children[e] == ni) {
       p.rects[e] = nodes_[ni].mbr;
@@ -309,113 +307,25 @@ void RStarTree::split(std::uint32_t ni) {
   }
 }
 
-// --- queries (shared shape with DynamicRTree) --------------------------------
-
 void RStarTree::filter_point(const geom::Point& p, ExecHooks& hooks,
                              std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const RNode& n = nodes_[ni];
-    const std::uint64_t na = node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectContainsPoint);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!n.rects[e].contains(p)) continue;
-      if (n.leaf) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.children[e]);
-      } else {
-        stack.push_back(n.children[e]);
-      }
-    }
-  }
+  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
 }
 
 void RStarTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
                              std::vector<std::uint32_t>& out) const {
-  if (size_ == 0) return;
-  std::uint64_t result_addr = simaddr::kScratchBase;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const RNode& n = nodes_[ni];
-    const std::uint64_t na = node_addr(ni);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.instr(costs::kRectOverlap);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (!n.rects[e].intersects(window)) continue;
-      if (n.leaf) {
-        hooks.instr(costs::kResultPush);
-        hooks.write(result_addr, 4);
-        result_addr += 4;
-        out.push_back(n.children[e]);
-      } else {
-        stack.push_back(n.children[e]);
-      }
-    }
-  }
+  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
 }
 
 std::vector<NNResult> RStarTree::nearest_k(const geom::Point& p, std::uint32_t k,
                                            const SegmentStore& store,
                                            ExecHooks& hooks) const {
-  std::vector<NNResult> out;
-  if (size_ == 0 || k == 0) return out;
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.push({0.0, false, root_});
-  while (!heap.empty()) {
-    hooks.instr(costs::kHeapOp);
-    const Item it = heap.top();
-    heap.pop();
-    if (it.is_data) {
-      out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-      if (out.size() == k) return out;
-      continue;
-    }
-    const RNode& n = nodes_[it.idx];
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(node_addr(it.idx), kNodeHeaderBytes);
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.read(node_addr(it.idx) + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.leaf) {
-        const geom::Segment& s = store.fetch(n.children[e], hooks);
-        hooks.instr(costs::kPointSegDist2);
-        heap.push({geom::point_segment_dist2(p, s), true, n.children[e]});
-      } else {
-        hooks.instr(costs::kRectDist2);
-        heap.push({n.rects[e].dist2(p), false, n.children[e]});
-      }
-      hooks.instr(costs::kHeapOp);
-    }
-  }
-  return out;
+  return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks);
 }
 
 std::optional<NNResult> RStarTree::nearest(const geom::Point& p, const SegmentStore& store,
                                            ExecHooks& hooks) const {
-  std::vector<NNResult> r = nearest_k(p, 1, store, hooks);
-  if (r.empty()) return std::nullopt;
-  return r.front();
+  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 double RStarTree::total_sibling_overlap() const {
@@ -424,7 +334,7 @@ double RStarTree::total_sibling_overlap() const {
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
-    const RNode& n = nodes_[ni];
+    const DynNode& n = nodes_[ni];
     for (std::size_t i = 0; i < n.rects.size(); ++i) {
       for (std::size_t j = i + 1; j < n.rects.size(); ++j) {
         total += overlap_area(n.rects[i], n.rects[j]);
@@ -435,33 +345,6 @@ double RStarTree::total_sibling_overlap() const {
     }
   }
   return total;
-}
-
-bool RStarTree::validate() const {
-  if (size_ == 0) return true;
-  std::size_t records = 0;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const RNode& n = nodes_[ni];
-    if (n.children.size() != n.rects.size()) return false;
-    if (n.children.size() > kNodeCapacity) return false;
-    geom::Rect cover = geom::Rect::empty();
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      cover.expand(n.rects[e]);
-      if (!n.leaf) {
-        const RNode& c = nodes_[n.children[e]];
-        if (c.parent != ni) return false;
-        if (!n.rects[e].contains(c.mbr)) return false;
-        stack.push_back(n.children[e]);
-      } else {
-        ++records;
-      }
-    }
-    if (!n.mbr.contains(cover)) return false;
-  }
-  return records == size_;
 }
 
 }  // namespace mosaiq::rtree

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "geom/rect.hpp"
+#include "rtree/dynamic_rtree.hpp"  // DynNode
 #include "rtree/exec.hpp"
 #include "rtree/node.hpp"
 #include "rtree/packed_rtree.hpp"  // NNResult
@@ -54,18 +55,9 @@ class RStarTree {
   /// quality metric (lower is better; R* should beat Guttman).
   double total_sibling_overlap() const;
 
-  bool validate() const;
+  bool validate() const { return valid_dyn_tree(nodes_, root_, size_); }
 
  private:
-  struct RNode {
-    bool leaf = true;
-    geom::Rect mbr = geom::Rect::empty();
-    std::vector<std::uint32_t> children;
-    std::vector<geom::Rect> rects;
-    std::uint32_t parent = kNoNode;
-  };
-  static constexpr std::uint32_t kNoNode = 0xffffffffu;
-
   struct Entry {
     std::uint32_t child;
     geom::Rect rect;
@@ -79,12 +71,9 @@ class RStarTree {
   void recompute_mbr(std::uint32_t ni);
   void adjust_upward(std::uint32_t ni);
   std::uint32_t level_of(std::uint32_t ni) const;  ///< 0 = leaf
-  std::uint64_t node_addr(std::uint32_t i) const {
-    return base_addr_ + static_cast<std::uint64_t>(i) * kNodeBytes;
-  }
 
   RStarConfig cfg_;
-  std::vector<RNode> nodes_{RNode{}};
+  std::vector<DynNode> nodes_{DynNode{}};
   std::uint32_t root_ = 0;
   std::uint32_t height_ = 1;
   std::size_t size_ = 0;

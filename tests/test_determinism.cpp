@@ -9,7 +9,9 @@
 // in (hash-set iteration, wall-clock reads, unseeded randomness).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +26,11 @@
 #include "outcome_bits.hpp"
 #include "perf/build_cache.hpp"
 #include "perf/config_hash.hpp"
+#include "rtree/buddy_tree.hpp"
+#include "rtree/dynamic_rtree.hpp"
+#include "rtree/hilbert_rtree.hpp"
 #include "rtree/pmr_quadtree.hpp"
+#include "rtree/rstar_tree.hpp"
 #include "rtree/shipment.hpp"
 #include "workload/query_gen.hpp"
 
@@ -231,6 +237,135 @@ TEST(Determinism, TableOneSessionsMatchGoldenValues) {
   EXPECT_EQ(tlb_misses, 933u);
   EXPECT_EQ(answers, 14334u);
   EXPECT_EQ(h.value(), 0x7204f5759fd9f63eull);
+}
+
+/// ExecHooks that fold every event, in order, into an FNV-1a digest;
+/// query results are mixed into the same digest.
+struct DigestHooks final : rtree::ExecHooks {
+  perf::ConfigHasher h;
+  void instr(const rtree::InstrMix& m) override {
+    h.mix(std::uint64_t{0}).mix(m.alu).mix(m.mul).mix(m.branch);
+  }
+  void read(std::uint64_t addr, std::uint32_t bytes) override {
+    h.mix(std::uint64_t{1}).mix(addr).mix(std::uint64_t{bytes});
+  }
+  void write(std::uint64_t addr, std::uint32_t bytes) override {
+    h.mix(std::uint64_t{2}).mix(addr).mix(std::uint64_t{bytes});
+  }
+  void mix(const rtree::NNResult& r) {
+    h.mix(std::uint64_t{r.record}).mix(std::uint64_t{r.id}).mix(r.dist);
+  }
+};
+
+struct IndexQueries {
+  std::vector<geom::Point> points;
+  std::vector<geom::Rect> windows;
+  std::vector<geom::Point> nn;
+  std::vector<rtree::KnnQuery> knn;
+};
+
+/// Point, range, NN and kNN digests of one index over `q`.
+template <typename Index>
+std::array<std::uint64_t, 4> index_digests(const Index& t, const rtree::SegmentStore& store,
+                                           const IndexQueries& q) {
+  DigestHooks point, range, nn, knn;
+  std::vector<std::uint32_t> out;
+  for (const geom::Point& p : q.points) {
+    out.clear();
+    t.filter_point(p, point, out);
+    for (const std::uint32_t r : out) point.h.mix(std::uint64_t{r});
+  }
+  for (const geom::Rect& w : q.windows) {
+    out.clear();
+    t.filter_range(w, range, out);
+    for (const std::uint32_t r : out) range.h.mix(std::uint64_t{r});
+  }
+  for (const geom::Point& p : q.nn) {
+    const std::optional<rtree::NNResult> r = t.nearest(p, store, nn);
+    if (r) nn.mix(*r);
+  }
+  for (const rtree::KnnQuery& k : q.knn) {
+    for (const rtree::NNResult& r : t.nearest_k(k.p, k.k, store, knn)) knn.mix(r);
+  }
+  return {point.h.value(), range.h.value(), nn.h.value(), knn.h.value()};
+}
+
+/// Golden cost streams for every index structure.  No other test pins
+/// what the five secondary structures charge: their own tests check
+/// only that work is positive or that one tree does less than another,
+/// and ext_index_structures prints it to four significant digits.  The
+/// digests were recorded before the R-trees shared one filter DFS and
+/// one best-first k-NN; a traversal rewrite must leave them unchanged.
+TEST(Determinism, IndexCostStreamsMatchGoldenValues) {
+  const workload::Dataset d = workload::make_pa(4000);
+  workload::QueryGen gen(d, /*seed=*/23);
+  IndexQueries q;
+  for (const rtree::Query& x : gen.batch(rtree::QueryKind::Point, 40)) {
+    q.points.push_back(std::get<rtree::PointQuery>(x).p);
+  }
+  for (const rtree::Query& x : gen.batch(rtree::QueryKind::Range, 20)) {
+    q.windows.push_back(std::get<rtree::RangeQuery>(x).window);
+  }
+  for (const rtree::Query& x : gen.batch(rtree::QueryKind::NN, 40)) {
+    q.nn.push_back(std::get<rtree::NNQuery>(x).p);
+  }
+  for (const rtree::Query& x : gen.knn_batch(20, 8)) {
+    q.knn.push_back(std::get<rtree::KnnQuery>(x));
+  }
+
+  const rtree::SegmentStore empty;
+  struct Golden {
+    const char* index;
+    std::array<std::uint64_t, 4> actual;
+    std::array<std::uint64_t, 4> expected;
+  };
+  const std::uint64_t nothing = perf::ConfigHasher{}.value();
+  const std::array<std::uint64_t, 4> none = {nothing, nothing, nothing, nothing};
+  const Golden golden[] = {
+      {"packed", index_digests(d.tree, d.store, q),
+       {0x62d09e3f006c1c97ull, 0x9741d1c751643c70ull, 0xe029b89a8ecf721full,
+        0xb03f3b3f44582965ull}},
+      {"guttman", index_digests(rtree::DynamicRTree::build(d.store), d.store, q),
+       {0xafdd28478af0444bull, 0x39e613b3ac0c3a95ull, 0x73df9982cb81bd96ull,
+        0x7071e7de261fe3b4ull}},
+      {"rstar", index_digests(rtree::RStarTree::build(d.store), d.store, q),
+       {0x2bfb81faf2f4e7abull, 0xf9f2dcbf232f31b8ull, 0x551741628520a2bbull,
+        0xf91e013c92cbe6acull}},
+      {"hilbert", index_digests(rtree::HilbertRTree::build(d.store), d.store, q),
+       {0x2b2ba97f670d380aull, 0xebe06ade8061aeb8ull, 0x2ed35872b1c15532ull,
+        0x6cc9e8d22a8b7d35ull}},
+      {"pmr", index_digests(rtree::PmrQuadtree::build(d.store), d.store, q),
+       {0x17142093c1588d90ull, 0xfc4908fd68be33f5ull, 0xfad099842810602aull,
+        0xe3a73bb5715e689cull}},
+      {"buddy", index_digests(rtree::BuddyTree::build(d.store), d.store, q),
+       {0x51e97a2053bb42caull, 0x697a494ef315c5e1ull, 0x8d2f3107021c2e22ull,
+        0x1b5baf81d974c9b3ull}},
+      // An empty tree charges nothing and answers nothing.
+      {"guttman-empty", index_digests(rtree::DynamicRTree{}, empty, q), none},
+      {"rstar-empty", index_digests(rtree::RStarTree{}, empty, q), none},
+      {"hilbert-empty", index_digests(rtree::HilbertRTree::build(empty), empty, q), none},
+  };
+  const char* kinds[] = {"point", "range", "nn", "knn"};
+  for (const Golden& g : golden) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(g.actual[k], g.expected[k])
+          << g.index << " " << kinds[k] << ": 0x" << std::hex << g.actual[k] << "ull";
+    }
+  }
+
+  // Route filtering runs the packed tree's DFS with a per-leg predicate.
+  DigestHooks route;
+  std::vector<std::uint32_t> out;
+  for (const rtree::Query& x : gen.batch(rtree::QueryKind::Route, 10)) {
+    const rtree::RouteQuery& r = std::get<rtree::RouteQuery>(x);
+    std::vector<geom::Segment> legs;
+    for (std::size_t i = 0; i < r.legs(); ++i) legs.push_back(r.leg(i));
+    out.clear();
+    d.tree.filter_route(legs, route, out);
+    for (const std::uint32_t rec : out) route.h.mix(std::uint64_t{rec});
+  }
+  EXPECT_EQ(route.h.value(), 0x74021d1e09b9a9d9ull)
+      << "route: 0x" << std::hex << route.h.value() << "ull";
 }
 
 /// Faulty-link runs: the seeded loss process, timeout/backoff stalls,

@@ -63,6 +63,7 @@ TEST_P(HilbertDynEquivalence, MatchesBruteForce) {
   SegmentStore store(random_segments(2500, GetParam()));
   const HilbertRTree t = HilbertRTree::build(store);
   ASSERT_TRUE(t.validate());
+  const DynamicRTree guttman = DynamicRTree::build(store);
 
   std::mt19937_64 rng(GetParam() * 61);
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -80,7 +81,6 @@ TEST_P(HilbertDynEquivalence, MatchesBruteForce) {
     EXPECT_EQ(ids, oracle_ids);
 
     const geom::Point q{u(rng), u(rng)};
-    static const DynamicRTree guttman = DynamicRTree::build(store);
     const auto nh = t.nearest_k(q, 4, store, null_hooks());
     const auto ng = guttman.nearest_k(q, 4, store, null_hooks());
     ASSERT_EQ(nh.size(), ng.size());

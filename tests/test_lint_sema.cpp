@@ -5,6 +5,8 @@
 // the incremental result cache are exercised end to end.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -132,10 +134,12 @@ TEST(LintCrossFile, AloneTheCppIsQuiet) {
 class LintCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The pointer only decorates the name; sanitizer allocators are
-    // deterministic, so the directory CAN repeat across ctest runs —
-    // every file a test reads is rewritten or removed here.
-    dir_ = ::testing::TempDir() + "lint_cache_" +
+    // The pid keeps this binary's whole-run ctest and its per-case
+    // ctests apart when they run concurrently.  The pointer only
+    // decorates the name; sanitizer allocators are deterministic, so
+    // the directory CAN repeat across ctest runs — every file a test
+    // reads is rewritten or removed here.
+    dir_ = ::testing::TempDir() + "lint_cache_" + std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     ASSERT_EQ(std::system(("mkdir -p " + dir_).c_str()), 0);
     write("a.cpp", "double f(double elapsed_s) { return elapsed_s; }\n");

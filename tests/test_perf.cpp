@@ -198,21 +198,6 @@ TEST(BuildCache, ConfigHashSensitivity) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(BuildCache, SecondaryIndexesKeyedByParameters) {
-  perf::BuildCache cache;
-  const workload::DatasetSpec spec = workload::pa_spec(2000);
-  const auto p1 = cache.pmr_index(spec, {64, 12});
-  const auto p2 = cache.pmr_index(spec, {64, 12});
-  const auto p3 = cache.pmr_index(spec, {32, 10});
-  EXPECT_EQ(p1.get(), p2.get());
-  EXPECT_NE(p1.get(), p3.get()) << "index parameters are part of the cache key";
-  const auto r1 = cache.rstar_index(spec);
-  const auto r2 = cache.rstar_index(spec);
-  EXPECT_EQ(r1.get(), r2.get());
-  const auto bd = cache.buddy_index(spec);
-  EXPECT_NE(bd, nullptr);
-}
-
 TEST(BuildCache, ClearInvalidatesButKeepsOutstandingRefs) {
   perf::BuildCache cache;
   const workload::DatasetSpec spec = workload::pa_spec(2000);

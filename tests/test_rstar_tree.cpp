@@ -62,6 +62,7 @@ TEST_P(RStarEquivalence, MatchesBruteForce) {
   SegmentStore store(random_segments(2500, GetParam()));
   const RStarTree t = RStarTree::build(store);
   ASSERT_TRUE(t.validate());
+  const DynamicRTree guttman = DynamicRTree::build(store);
 
   std::mt19937_64 rng(GetParam() * 37);
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -79,7 +80,6 @@ TEST_P(RStarEquivalence, MatchesBruteForce) {
     EXPECT_EQ(ids, oracle_ids);
 
     // kNN distances match the Guttman tree's.
-    static const DynamicRTree guttman = DynamicRTree::build(store);
     const geom::Point q{u(rng), u(rng)};
     const auto kr = t.nearest_k(q, 5, store, null_hooks());
     const auto kg = guttman.nearest_k(q, 5, store, null_hooks());
