@@ -4,19 +4,19 @@
 #   1. A million clients, no faults:
 #        mosaiq fleet --fleet-size 1000000 --n 1 --query point --scheme server --think 0.05
 #      Fails unless it exits 0, prints 1,000,000 answers, and peaks under
-#      8 GB RSS (the child's ru_maxrss, read by python3's
+#      2 GB RSS (the child's ru_maxrss, read by python3's
 #      resource.getrusage(RUSAGE_CHILDREN)).  On a 4-core / 16 GB VM it
-#      takes about 15 s and 2.7 GB (Release).
+#      takes about 12 s and 0.8 GB (Release).
 #   2. 100,000 clients under churn with replication, which exercises the
 #      reassignment path:
 #        mosaiq fleet --fleet-size 100000 --n 2 --query point --churn-rate 0.02
 #                     --replication 2 --fleet-battery --burst-loss 0.05
 #      Fails unless it exits 0, prints a result row for 100000 clients,
-#      and finishes within 60 s.  It takes about 3 s on the same VM.  A
+#      and finishes within 60 s.  It takes 2–3 s on the same VM.  A
 #      survivor search that scanned every client took 42 s at 40,000
 #      clients.
 #
-# Together they take under half a minute and 3 GB, so they stay out of
+# Together they take under 20 s and 1 GB, so they stay out of
 # ctest, where they would slow and crowd a parallel `ctest -j`.
 #
 # Usage: scripts/check_fleet_scale.sh [path/to/mosaiq]
@@ -37,7 +37,7 @@ import sys
 import time
 
 MOSAIQ = sys.argv[1]
-RSS_LIMIT_KB = 8 * 1024 * 1024
+RSS_LIMIT_KB = 2 * 1024 * 1024
 CHURN_LIMIT_S = 60.0
 
 
@@ -70,7 +70,7 @@ if status != 0:
 if answers != CLIENTS:
     problems.append(f"{CLIENTS} clients: answers {answers}, expected {CLIENTS}")
 if peak_kb >= RSS_LIMIT_KB:
-    problems.append(f"{CLIENTS} clients: peak RSS {peak_kb / 1024**2:.2f} GB, limit 8 GB")
+    problems.append(f"{CLIENTS} clients: peak RSS {peak_kb / 1024**2:.2f} GB, limit 2 GB")
 summary = [f"{CLIENTS} clients, {answers} answers, peak RSS {peak_kb / 1024**2:.2f} GB, "
            f"{wall_s:.1f} s"]
 

@@ -1,20 +1,10 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace mosaiq::sim {
-
-namespace {
-
-// Line word layout: tag << kTagShift | kValid | kDirty | rank.
-constexpr std::uint64_t kRankMask = 0x3f;  // ranks 0..63: up to 64 ways
-constexpr std::uint64_t kDirty = 0x40;
-constexpr std::uint64_t kValid = 0x80;
-constexpr unsigned kTagShift = 8;
-constexpr std::uint64_t kKeyMask = ~(kDirty | kRankMask);  // tag + valid
-
-}  // namespace
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   assert(std::has_single_bit(cfg.line_bytes));
@@ -24,19 +14,16 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   assert(std::has_single_bit(n_sets_));
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(n_sets_));
-  lines_.reserve(std::size_t{n_sets_} * cfg.assoc);
-  for (std::uint32_t s = 0; s < n_sets_; ++s) {
-    for (std::uint32_t w = 0; w < cfg.assoc; ++w) lines_.push_back(w);  // invalid, rank w
-  }
 }
 
-Cache::AccessResult Cache::access(std::uint64_t addr, bool is_write) {
-  const std::uint64_t line_addr = addr >> line_shift_;
+Cache::AccessResult Cache::access_line(std::uint64_t line_addr, bool is_write) {
   const std::uint64_t tag = line_addr >> set_shift_;
   assert(tag >> (64 - kTagShift) == 0);  // simulated addresses sit far below 2^56
   const std::uint64_t key = (tag << kTagShift) | kValid;
   const std::uint32_t assoc = cfg_.assoc;
-  std::uint64_t* set = &lines_[(line_addr & (n_sets_ - 1)) * assoc];
+  const std::size_t base = (line_addr & (n_sets_ - 1)) * assoc;
+  if (base >= lines_.size()) [[unlikely]] return access_new_set(line_addr, is_write);
+  std::uint64_t* set = &lines_[base];
 
   // One branch-free pass: the hit way, or else the LRU way (rank
   // assoc-1, which is an invalid way whenever the set has one).
@@ -64,15 +51,32 @@ Cache::AccessResult Cache::access(std::uint64_t addr, bool is_write) {
   }
   const std::uint64_t dirty = is_write ? kDirty : 0;
   set[way] = hit ? (old & ~kRankMask) | dirty : key | dirty;  // write-allocate
+  last_line_ = line_addr;
+  last_slot_ = base + way;
   return {hit, writeback};
+}
+
+Cache::AccessResult Cache::access_new_set(std::uint64_t line_addr, bool is_write) {
+  // One allocation, then every new set as a fully stored cache would
+  // start it: invalid, ranks 0..assoc-1.
+  const std::size_t words = ((line_addr & (n_sets_ - 1)) + 1) * cfg_.assoc;
+  if (words > lines_.capacity()) {
+    const std::size_t all = std::size_t{n_sets_} * cfg_.assoc;
+    lines_.reserve(std::min(all, std::max(words, 2 * lines_.capacity())));
+  }
+  while (lines_.size() < words) {
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) lines_.push_back(w);
+  }
+  return access_line(line_addr, is_write);
 }
 
 bool Cache::probe(std::uint64_t addr) const {
   const std::uint64_t line_addr = addr >> line_shift_;
   const std::uint64_t key = ((line_addr >> set_shift_) << kTagShift) | kValid;
-  const std::uint64_t* set = &lines_[(line_addr & (n_sets_ - 1)) * cfg_.assoc];
+  const std::size_t base = (line_addr & (n_sets_ - 1)) * cfg_.assoc;
+  if (base >= lines_.size()) return false;  // an untouched set holds no line
   for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-    if ((set[w] & kKeyMask) == key) return true;
+    if ((lines_[base + w] & kKeyMask) == key) return true;
   }
   return false;
 }
@@ -82,6 +86,7 @@ void Cache::flush() {
     if ((l & kDirty) != 0) ++stats_.writebacks;
     l &= kRankMask;  // invalid, rank kept: still a permutation per set
   }
+  last_line_ = kNoLine;
 }
 
 }  // namespace mosaiq::sim

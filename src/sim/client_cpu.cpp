@@ -36,6 +36,8 @@ ClientConstants::ClientConstants(const ClientConfig& c) : cfg(c) {
   // The walk fetches PCs kCodeBase + 4i from a line-aligned base, so fetch
   // i starts a line exactly when 4i is a multiple of the line size.
   fetches_per_line = std::max<std::uint64_t>(cfg.icache.line_bytes / 4, 1);
+  assert(std::has_single_bit(cfg.dcache.line_bytes));
+  dcache_line_shift = static_cast<std::uint32_t>(std::countr_zero(cfg.dcache.line_bytes));
   walk_icache_j.assign(cfg.code_footprint_bytes / 4 + 1, 0.0);
   for (std::size_t i = 1; i < walk_icache_j.size(); ++i) {
     walk_icache_j[i] = walk_icache_j[i - 1] + table.icache_nj * kNanojoule;
@@ -118,9 +120,9 @@ void ClientCpu::read(std::uint64_t addr, std::uint32_t bytes) {
   // touched (sequential words within a line pipeline through it).
   const ClientConfig& cfg = constants_->cfg;
   const EnergyTable& t = constants_->table;
-  const std::uint64_t line = cfg.dcache.line_bytes;
-  const std::uint64_t first = addr / line;
-  const std::uint64_t last = (addr + bytes - 1) / line;
+  const std::uint32_t shift = constants_->dcache_line_shift;
+  const std::uint64_t first = addr >> shift;
+  const std::uint64_t last = (addr + bytes - 1) >> shift;
   const std::uint64_t words = (bytes + 3) / 4;
 
   instructions_ += words;
@@ -135,16 +137,16 @@ void ClientCpu::read(std::uint64_t addr, std::uint32_t bytes) {
   if (words > lines) {
     energy_.dcache_j += static_cast<double>(words - lines) * t.dcache_nj * kNanojoule;
   }
-  for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l * line, false);
+  for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l << shift, false);
 }
 
 void ClientCpu::write(std::uint64_t addr, std::uint32_t bytes) {
   if (bytes == 0) return;
   const ClientConfig& cfg = constants_->cfg;
   const EnergyTable& t = constants_->table;
-  const std::uint64_t line = cfg.dcache.line_bytes;
-  const std::uint64_t first = addr / line;
-  const std::uint64_t last = (addr + bytes - 1) / line;
+  const std::uint32_t shift = constants_->dcache_line_shift;
+  const std::uint64_t first = addr >> shift;
+  const std::uint64_t last = (addr + bytes - 1) >> shift;
   const std::uint64_t words = (bytes + 3) / 4;
 
   instructions_ += words;
@@ -157,7 +159,7 @@ void ClientCpu::write(std::uint64_t addr, std::uint32_t bytes) {
   if (words > lines) {
     energy_.dcache_j += static_cast<double>(words - lines) * t.dcache_nj * kNanojoule;
   }
-  for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l * line, true);
+  for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l << shift, true);
 }
 
 void ClientCpu::wait_seconds(double seconds, WaitPolicy policy) {

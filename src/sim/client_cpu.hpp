@@ -33,6 +33,9 @@ struct ClientConstants {
   EnergyTable table;  ///< cfg's per-event energies, DVFS-scaled
   /// Walk fetch i misses exactly when i is a multiple of this.
   std::uint64_t fetches_per_line = 1;
+  /// log2 of the D-cache line size: loads and stores find their lines
+  /// by shifting.
+  std::uint32_t dcache_line_shift = 0;
   /// walk_icache_j[i] = I-cache energy of the first i walk fetches, added
   /// one fetch at a time (so it has the bits of a per-fetch walk); one
   /// entry per walk fetch plus the empty walk.

@@ -22,9 +22,12 @@ ServerCpu::ServerCpu(const ServerConfig& cfg)
     : cfg_(cfg),
       l1d_(cfg.l1d),
       l2_(cfg.l2),
+      line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l1d.line_bytes))),
+      page_shift_(static_cast<unsigned>(std::countr_zero(cfg.page_bytes))),
       tlb_(cfg.tlb_entries),
       tlb_slot_(std::bit_ceil(kTlbSlotsPerEntry * cfg.tlb_entries)),
       tlb_shift_(64 - static_cast<unsigned>(std::countr_zero(tlb_slot_.size()))) {
+  assert(std::has_single_bit(cfg.page_bytes));  // l1d_ checks its line size
   assert(cfg.tlb_entries >= 1);
   assert(cfg.tlb_entries - 1 <= std::numeric_limits<std::uint16_t>::max());
   if (cfg.disk_backed) {
@@ -44,18 +47,15 @@ ServerCpu::ServerCpu(const ServerConfig& cfg)
 
 void ServerCpu::instr(const rtree::InstrMix& mix) { instructions_ += mix.total(); }
 
-bool ServerCpu::tlb_lookup(std::uint64_t addr) {
-  const std::uint64_t page = addr / cfg_.page_bytes;
-  // A page is resident at most once, and the last entry used already
-  // holds the newest tick, so a repeat hit on it changes no LRU order.
-  if (tlb_[tlb_mru_].page == page) return true;
+bool ServerCpu::tlb_lookup(std::uint64_t page) {
+  // The caller has ruled out tlb_mru_page_.
   ++tlb_tick_;
-  // Because the page is resident at most once, an entry the slot names
+  tlb_mru_page_ = page;
+  // Because a page is resident at most once, an entry the slot names
   // that holds it is the entry the scan would find.
   std::uint16_t& slot = tlb_slot_[(page * kTlbHashMul) >> tlb_shift_];
   if (tlb_[slot].page == page) {
     tlb_[slot].lru = tlb_tick_;
-    tlb_mru_ = slot;
     return true;
   }
   std::size_t victim = 0;
@@ -63,7 +63,6 @@ bool ServerCpu::tlb_lookup(std::uint64_t addr) {
     TlbEntry& e = tlb_[i];
     if (e.page == page) {
       e.lru = tlb_tick_;
-      tlb_mru_ = i;
       slot = static_cast<std::uint16_t>(i);
       return true;
     }
@@ -71,7 +70,6 @@ bool ServerCpu::tlb_lookup(std::uint64_t addr) {
   }
   ++tlb_misses_;
   tlb_[victim] = TlbEntry{page, tlb_tick_};
-  tlb_mru_ = victim;
   slot = static_cast<std::uint16_t>(victim);
   return false;
 }
@@ -88,7 +86,10 @@ void ServerCpu::mem_access(std::uint64_t addr, bool is_write) {
       last_page_ = page;
     }
   }
-  if (!tlb_lookup(addr)) stall_cycles_ += cfg_.tlb_miss_cycles;
+  // A page is resident at most once, and the last entry used already
+  // holds the newest tick, so a repeat hit on it changes no LRU order.
+  const std::uint64_t page = addr >> page_shift_;
+  if (page != tlb_mru_page_ && !tlb_lookup(page)) stall_cycles_ += cfg_.tlb_miss_cycles;
   const auto r1 = l1d_.access(addr, is_write);
   if (r1.hit) return;
   const auto r2 = l2_.access(addr, is_write);
@@ -101,24 +102,18 @@ void ServerCpu::mem_access(std::uint64_t addr, bool is_write) {
 
 void ServerCpu::read(std::uint64_t addr, std::uint32_t bytes) {
   if (bytes == 0) return;
-  const std::uint64_t line = cfg_.l1d.line_bytes;
-  const std::uint64_t first = addr / line;
-  const std::uint64_t last = (addr + bytes - 1) / line;
-  const std::uint64_t words = (bytes + 3) / 4;
-  instructions_ += words;
-  mem_ops_ += words;
-  for (std::uint64_t l = first; l <= last; ++l) mem_access(l * line, false);
+  const std::uint64_t first = addr >> line_shift_;
+  const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
+  instructions_ += (bytes + 3) / 4;
+  for (std::uint64_t l = first; l <= last; ++l) mem_access(l << line_shift_, false);
 }
 
 void ServerCpu::write(std::uint64_t addr, std::uint32_t bytes) {
   if (bytes == 0) return;
-  const std::uint64_t line = cfg_.l1d.line_bytes;
-  const std::uint64_t first = addr / line;
-  const std::uint64_t last = (addr + bytes - 1) / line;
-  const std::uint64_t words = (bytes + 3) / 4;
-  instructions_ += words;
-  mem_ops_ += words;
-  for (std::uint64_t l = first; l <= last; ++l) mem_access(l * line, true);
+  const std::uint64_t first = addr >> line_shift_;
+  const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
+  instructions_ += (bytes + 3) / 4;
+  for (std::uint64_t l = first; l <= last; ++l) mem_access(l << line_shift_, true);
 }
 
 std::uint64_t ServerCpu::cycles() const {

@@ -11,6 +11,14 @@
 // page is found in O(1) through a hashed page -> entry index; the index
 // is only a hint, checked against the entry, so hits, misses and
 // victims are those of a plain LRU scan.
+//
+// Kernels scan a node or a record a few bytes at a time, so most
+// accesses repeat the line, and the page, of the access before.  Line
+// and page numbers are shifts (both sizes are powers of two).  The page
+// of the most recently used TLB entry is compared inline before the
+// lookup: that entry already holds the newest LRU tick, so a repeat hit
+// on it changes nothing.  A repeat line is likewise a hit that changes
+// nothing in the L1D (see sim/cache.hpp).
 #pragma once
 
 #include <cstddef>
@@ -53,14 +61,15 @@ class ServerCpu final : public rtree::ExecHooks {
 
  private:
   void mem_access(std::uint64_t addr, bool is_write);
-  bool tlb_lookup(std::uint64_t addr);
+  bool tlb_lookup(std::uint64_t page);
 
   ServerConfig cfg_;
   Cache l1d_;
   Cache l2_;
+  unsigned line_shift_;  ///< log2 of the L1D line size
+  unsigned page_shift_;  ///< log2 of the page size
 
   std::uint64_t instructions_ = 0;
-  std::uint64_t mem_ops_ = 0;
   double stall_cycles_ = 0.0;
   std::uint64_t tlb_misses_ = 0;
 
@@ -70,10 +79,11 @@ class ServerCpu final : public rtree::ExecHooks {
   std::uint64_t bc_misses_ = 0;
   std::uint64_t last_page_ = ~0ull;
 
-  // Fully-associative LRU TLB.  A page is looked up in tlb_mru_ (the
-  // entry used last), then in the entry tlb_slot_ names for the page's
-  // hash, then by a scan of every entry that also finds the LRU victim
-  // and records the entry it found or filled in the page's slot.  A slot
+  // Fully-associative LRU TLB.  A page is compared with tlb_mru_page_
+  // (the page of the entry used last), then looked up in the entry
+  // tlb_slot_ names for the page's hash, then by a scan of every entry
+  // that also finds the LRU victim and records the entry it found or
+  // filled in the page's slot.  A slot
   // is trusted only when its entry still holds the page.  The slot is
   // hashed from the page number rather than masked from it: every
   // simaddr region (and the NIC buffer 4 MB past kNetBase) starts at a
@@ -87,7 +97,7 @@ class ServerCpu final : public rtree::ExecHooks {
   std::vector<std::uint16_t> tlb_slot_;  ///< page hash -> index into tlb_
   unsigned tlb_shift_ = 0;               ///< 64 - log2(tlb_slot_.size())
   std::uint64_t tlb_tick_ = 0;
-  std::size_t tlb_mru_ = 0;
+  std::uint64_t tlb_mru_page_ = TlbEntry{}.page;  ///< entry 0's page at start
 };
 
 }  // namespace mosaiq::sim

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "rtree/exec.hpp"
 #include "sim/cache.hpp"
 #include "sim/energy.hpp"
 
@@ -263,10 +264,56 @@ TEST_P(CacheReference, PackedRanksMatchTimestampLru) {
         ref.flush();
         expect_same_stats(cache.stats(), ref.stats());
         ASSERT_FALSE(cache.probe(a));
+        // The flush also forgets the last line: repeating it misses.
+        const Cache::AccessResult again = cache.access(a, w);
+        const Cache::AccessResult want_again = ref.access(a, w);
+        ASSERT_FALSE(want_again.hit);
+        ASSERT_EQ(again.hit, want_again.hit);
+        ASSERT_EQ(again.writeback, want_again.writeback);
       }
     }
     expect_same_stats(cache.stats(), ref.stats());
   }
+
+  // A fleet client's traffic: a 31 B request read from the application
+  // buffer and written to the NIC buffer 4 MB on, then an 8 B response
+  // back.  Both buffers start set-aligned, so only set 0 is touched.
+  // Probes over twice the capacity then ask about sets never touched,
+  // and after a flush the last access lands in the highest set.
+  SCOPED_TRACE("fleet client traffic");
+  Cache cache(cfg);
+  ReferenceCache ref(cfg);
+  const std::uint64_t app = rtree::simaddr::kNetBase;
+  const std::uint64_t nic = app + (4u << 20);
+  struct Access {
+    std::uint64_t addr;
+    bool write;
+  };
+  const Access traffic[] = {
+      {app, false}, {app + 28, false}, {nic, true}, {nic + 28, true},  // request
+      {nic, false}, {nic + 4, false},  {app, true}, {app + 4, true}};  // response
+  for (const Access& x : traffic) {
+    const Cache::AccessResult got = cache.access(x.addr, x.write);
+    const Cache::AccessResult want = ref.access(x.addr, x.write);
+    ASSERT_EQ(got.hit, want.hit) << "address " << x.addr;
+    ASSERT_EQ(got.writeback, want.writeback) << "address " << x.addr;
+  }
+  for (std::uint64_t off = 0; off < 2ull * cfg.size_bytes; off += cfg.size_bytes / 64) {
+    for (const std::uint64_t base : {app, nic}) {
+      ASSERT_EQ(cache.probe(base + off), ref.probe(base + off)) << "probe at offset " << off;
+    }
+  }
+  cache.flush();
+  ref.flush();
+  expect_same_stats(cache.stats(), ref.stats());
+  const std::uint64_t highest_set = app + cfg.size_bytes / cfg.assoc - cfg.line_bytes;
+  const Cache::AccessResult got = cache.access(highest_set, true);
+  const Cache::AccessResult want = ref.access(highest_set, true);
+  ASSERT_EQ(got.hit, want.hit);
+  ASSERT_EQ(got.writeback, want.writeback);
+  ASSERT_EQ(cache.probe(highest_set), ref.probe(highest_set));
+  ASSERT_EQ(cache.probe(app), ref.probe(app));
+  expect_same_stats(cache.stats(), ref.stats());
 }
 
 // The CacheSweep geometries, the server's 16-way buffer cache of 8 KB

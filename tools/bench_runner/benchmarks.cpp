@@ -346,6 +346,15 @@ void register_all_benchmarks() {
     return filter_refine(qs, cpu);
   });
 
+  add("sim/server_point_query", [] { data(); }, [] {
+    // Point filter + refine charged to a fresh server memory model: the
+    // fleet's stage-2 kernel under FullyAtServer, whose node and record
+    // scans mostly repeat the line and page of the access before.
+    static const std::vector<rtree::Query> qs = queries(rtree::QueryKind::Point, 256);
+    sim::ServerCpu cpu{session_config(core::Scheme::FullyAtServer).server};
+    return filter_refine(qs, cpu);
+  });
+
   // --- Hilbert keys -----------------------------------------------------
   add("hilbert/key", {}, [] {
     static const std::vector<geom::Point> points = [] {
