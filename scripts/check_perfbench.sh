@@ -7,12 +7,19 @@
 #
 #   python3 perfbench/run.py --workload all --seconds 1 --trace 0
 #
-# and fails unless that exits 0 and its last line is a JSON result with
-# "correct": true and "failed": 0.  run.py itself exits 0 when output
+# and fails unless that exits 0, its last line is a JSON result with
+# "correct": true and "failed": 0, and every workload prints the pinned
+# seed-1 sim_fingerprint below.  run.py itself exits 0 when output
 # checks fail (it reports them in that line), so the exit status alone
-# is not enough.  The first run builds perfbench's Release tree under
-# $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench); after
-# that the gate takes about 11 s on a 4-core VM.
+# is not enough; and the output checks pass for many simulated numbers,
+# so a moved bit shows only in the fingerprint.  The first run builds
+# perfbench's Release tree under $CARGO_TARGET_DIR/perfbench (default
+# .bench_build/perfbench); after that the gate takes about 11 s on a
+# 4-core VM.
+#
+# The pins are the digests of every simulated output field.  A change
+# that moves simulated outputs on purpose updates them here, in the
+# same commit, and says why.
 #
 # Usage: scripts/check_perfbench.sh
 set -euo pipefail
@@ -28,7 +35,15 @@ fi
 
 python3 - "$out" <<'PY'
 import json
+import re
 import sys
+
+# Seed-1 sim_fingerprint of each workload.
+PINS = {
+    "paper_sweep": "f621d706565e5829",
+    "fleet_100k": "b812fd673f6323c6",
+    "fleet_churn": "ed985d56620e895e",
+}
 
 lines = open(sys.argv[1]).read().splitlines()
 try:
@@ -40,5 +55,21 @@ if result.get("correct") is not True or result.get("failed") != 0:
     print(f"check_perfbench: FAILED (correct={json.dumps(result.get('correct'))}, "
           f"failed={result.get('failed')} of {result.get('attempted')} checks)")
     sys.exit(1)
-print(f"check_perfbench: ok: {result['attempted']} checks, none failed")
+
+printed = {}
+for line in lines:
+    m = re.fullmatch(r"sim_fingerprint (\S+) seed=1 ([0-9a-f]+)", line.strip())
+    if m:
+        printed[m.group(1)] = m.group(2)
+bad = False
+for workload, pin in PINS.items():
+    got = printed.get(workload)
+    if got != pin:
+        print(f"check_perfbench: FAILED ({workload}: sim_fingerprint {got or 'missing'}, "
+              f"pinned {pin})")
+        bad = True
+if bad:
+    sys.exit(1)
+print(f"check_perfbench: ok: {result['attempted']} checks, none failed; "
+      f"{len(PINS)} sim_fingerprints match their pins")
 PY

@@ -5,6 +5,8 @@
 #include "geom/predicates.hpp"
 #include "rtree/costs.hpp"
 #include "serial/messages.hpp"
+#include "sim/client_cpu.hpp"
+#include "sim/server_cpu.hpp"
 
 namespace mosaiq::core {
 
@@ -27,8 +29,9 @@ std::uint64_t answer_payload_bytes(std::uint64_t n, bool data_at_client) {
 /// Client-side refinement over records that arrived on the wire (data
 /// not resident at the client): the candidate records sit in the
 /// application receive buffer, so reads go against the net region.
+template <typename Hooks>
 void refine_received(const workload::Dataset& data, const rtree::Query& q,
-                     std::span<const std::uint32_t> candidates, rtree::ExecHooks& cpu,
+                     std::span<const std::uint32_t> candidates, Hooks& cpu,
                      std::uint64_t& answers) {
   std::uint64_t addr = simaddr::kNetBase;
   std::uint64_t result_addr = simaddr::kScratchBase + (2u << 20);
@@ -74,7 +77,8 @@ SchemeSteps::SchemeSteps(const workload::Dataset& data, const rtree::Query& q, S
   }
 }
 
-std::uint64_t SchemeSteps::whole_query(rtree::ExecHooks& cpu) const {
+template <typename Hooks>
+std::uint64_t SchemeSteps::whole_query(Hooks& cpu) const {
   if (is_filterable(q_)) {
     std::vector<std::uint32_t> cand;
     std::vector<std::uint32_t> ids;
@@ -99,7 +103,8 @@ std::uint64_t SchemeSteps::request_bytes() const {
   return req.encoded_size();
 }
 
-std::uint64_t SchemeSteps::client_w1(rtree::ExecHooks& client, std::uint64_t& answers) {
+template <typename Hooks>
+std::uint64_t SchemeSteps::client_w1(Hooks& client, std::uint64_t& answers) {
   cand_.clear();
   if (scheme_ == Scheme::FullyAtClient) {
     answers += whole_query(client);
@@ -112,7 +117,8 @@ std::uint64_t SchemeSteps::client_w1(rtree::ExecHooks& client, std::uint64_t& an
   return request_bytes();
 }
 
-std::uint64_t SchemeSteps::server_w2(rtree::ExecHooks& server, std::uint64_t& answers) {
+template <typename Hooks>
+std::uint64_t SchemeSteps::server_w2(Hooks& server, std::uint64_t& answers) {
   switch (scheme_) {
     case Scheme::FullyAtClient: break;
     case Scheme::FullyAtServer: {
@@ -142,7 +148,8 @@ std::uint64_t SchemeSteps::server_w2(rtree::ExecHooks& server, std::uint64_t& an
   return 0;
 }
 
-void SchemeSteps::client_w3(rtree::ExecHooks& client, std::uint64_t& answers) const {
+template <typename Hooks>
+void SchemeSteps::client_w3(Hooks& client, std::uint64_t& answers) const {
   if (scheme_ != Scheme::FilterServerRefineClient) return;
   if (data_at_client_) {
     std::vector<std::uint32_t> ids;
@@ -152,5 +159,14 @@ void SchemeSteps::client_w3(rtree::ExecHooks& client, std::uint64_t& answers) co
     refine_received(data_, q_, cand_, client, answers);
   }
 }
+
+// The machine models, whose per-event paths inline into these copies,
+// and the type-erased instance for every other ExecHooks.
+template std::uint64_t SchemeSteps::client_w1(sim::ClientCpu&, std::uint64_t&);
+template std::uint64_t SchemeSteps::client_w1(rtree::ExecHooks&, std::uint64_t&);
+template std::uint64_t SchemeSteps::server_w2(sim::ServerCpu&, std::uint64_t&);
+template std::uint64_t SchemeSteps::server_w2(rtree::ExecHooks&, std::uint64_t&);
+template void SchemeSteps::client_w3(sim::ClientCpu&, std::uint64_t&) const;
+template void SchemeSteps::client_w3(rtree::ExecHooks&, std::uint64_t&) const;
 
 }  // namespace mosaiq::core

@@ -5,9 +5,15 @@
 //
 // plus the filtering and refinement dispatch for every query kind that
 // has them (point, range, route).  Each step runs on whichever machine
-// model it is handed via ExecHooks.  The Session, the pipelined session
-// and the fleet simulator all run queries through it, so the per-scheme
-// work and message sizes live in exactly one place.
+// model it is handed.  The Session, the pipelined session and the fleet
+// simulator all run queries through it, so the per-scheme work and
+// message sizes live in exactly one place.
+//
+// Like the index kernels they call (rtree/search.hpp), the steps are
+// templates over the hooks type.  query_exec.cpp compiles them once per
+// machine model, for sim::ClientCpu (w1, w3) and sim::ServerCpu (w2),
+// whose events then inline, and once for rtree::ExecHooks, the
+// type-erased instance any other hooks go through.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +45,9 @@ inline std::vector<geom::Segment> legs_of(const rtree::RouteQuery& rq) {
 }
 
 /// Filtering step for any filterable query, on the given machine.
-inline void filter_query(const workload::Dataset& data, const rtree::Query& q,
-                         rtree::ExecHooks& cpu, std::vector<std::uint32_t>& cand) {
+template <typename Hooks>
+void filter_query(const workload::Dataset& data, const rtree::Query& q, Hooks& cpu,
+                  std::vector<std::uint32_t>& cand) {
   if (const auto* pq = std::get_if<rtree::PointQuery>(&q)) {
     data.tree.filter_point(pq->p, cpu, cand);
   } else if (const auto* rq = std::get_if<rtree::RangeQuery>(&q)) {
@@ -51,9 +58,10 @@ inline void filter_query(const workload::Dataset& data, const rtree::Query& q,
 }
 
 /// Refinement step for any filterable query, on the given machine.
-inline void refine_query(const workload::Dataset& data, const rtree::Query& q,
-                         std::span<const std::uint32_t> cand, rtree::ExecHooks& cpu,
-                         std::vector<std::uint32_t>& ids) {
+template <typename Hooks>
+void refine_query(const workload::Dataset& data, const rtree::Query& q,
+                  std::span<const std::uint32_t> cand, Hooks& cpu,
+                  std::vector<std::uint32_t>& ids) {
   if (const auto* pq = std::get_if<rtree::PointQuery>(&q)) {
     rtree::refine_point(data.store, pq->p, cand, cpu, ids);
   } else if (const auto* rq = std::get_if<rtree::RangeQuery>(&q)) {
@@ -78,16 +86,22 @@ class SchemeSteps {
   /// w1 on the client: the whole query under FullyAtClient, filtering
   /// under filter@client, nothing otherwise.  Returns the request
   /// payload size (0 under FullyAtClient: nothing is sent).
-  std::uint64_t client_w1(rtree::ExecHooks& client, std::uint64_t& answers);
+  /// Instantiated for sim::ClientCpu and rtree::ExecHooks.
+  template <typename Hooks>
+  std::uint64_t client_w1(Hooks& client, std::uint64_t& answers);
 
   /// w2 on the server: the whole query, refinement of the shipped
   /// candidates, or filtering (plus a read pass over the candidate
   /// records when they must ship).  Returns the response payload size.
-  std::uint64_t server_w2(rtree::ExecHooks& server, std::uint64_t& answers);
+  /// Instantiated for sim::ServerCpu and rtree::ExecHooks.
+  template <typename Hooks>
+  std::uint64_t server_w2(Hooks& server, std::uint64_t& answers);
 
   /// w3 on the client: refinement under filter@server, over the local
   /// store or, with the data not at the client, the received records.
-  void client_w3(rtree::ExecHooks& client, std::uint64_t& answers) const;
+  /// Instantiated for sim::ClientCpu and rtree::ExecHooks.
+  template <typename Hooks>
+  void client_w3(Hooks& client, std::uint64_t& answers) const;
 
   /// Request payload for this query, carrying the current candidates
   /// under filter@client.
@@ -95,7 +109,8 @@ class SchemeSteps {
 
  private:
   /// The whole query on one machine; returns its answer count.
-  std::uint64_t whole_query(rtree::ExecHooks& cpu) const;
+  template <typename Hooks>
+  std::uint64_t whole_query(Hooks& cpu) const;
 
   const workload::Dataset& data_;
   const rtree::Query& q_;

@@ -1,7 +1,5 @@
 #include "perf/thread_pool.hpp"
 
-#include <algorithm>
-
 namespace mosaiq::perf {
 
 namespace {
@@ -50,19 +48,13 @@ ThreadPool& ThreadPool::shared() {
 bool ThreadPool::in_worker() { return t_in_pool_worker; }
 
 void ThreadPool::execute(Batch& b) {
-  // Chunked self-scheduling: each grab takes `chunk` consecutive
-  // indices, amortizing the atomic over small jobs while still
-  // balancing uneven ones.
+  // Self-scheduling, one index per grab.
   try {
     for (;;) {
       if (b.failed.load(std::memory_order_acquire)) return;
-      const std::size_t begin = b.next.fetch_add(b.chunk, std::memory_order_relaxed);
-      if (begin >= b.n) return;
-      const std::size_t end = std::min(begin + b.chunk, b.n);
-      for (std::size_t i = begin; i < end; ++i) {
-        (*b.job)(i);
-        if (b.failed.load(std::memory_order_acquire)) return;
-      }
+      const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= b.n) return;
+      (*b.job)(i);
     }
   } catch (...) {
     std::lock_guard<std::mutex> lk(b.mu);
@@ -92,8 +84,6 @@ void ThreadPool::run(std::size_t n, const std::function<void(std::size_t)>& job)
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->job = &job;
-  const std::size_t participants = threads_.size() + 1;
-  batch->chunk = std::max<std::size_t>(1, n / (4 * participants));
 
   {
     std::lock_guard<std::mutex> lk(mu_);

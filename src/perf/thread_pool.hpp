@@ -10,9 +10,13 @@
 // for the process lifetime and hands it successive batches.
 //
 // Design points:
-//  * chunked self-scheduling: participants grab index chunks from an
+//  * self-scheduling: participants grab one index at a time from an
 //    atomic cursor, so uneven cell costs balance without a static
-//    partition;
+//    partition.  Every caller's jobs take at least ~10 us (a figure or
+//    sweep cell; mosaiq-bench's perf/parallel_map jobs of 20k
+//    iterations), so one atomic per job costs nothing that shows, and a
+//    sweep never ends with one participant holding several heavy cells
+//    while the rest idle;
 //  * the submitting thread participates (no idle caller, and a
 //    zero-worker pool degenerates to a plain loop);
 //  * re-entrancy runs inline: a job that itself calls run() (e.g. a
@@ -82,7 +86,6 @@ class ThreadPool MOSAIQ_THREAD_SAFE {
   struct Batch {
     std::size_t n = 0;
     const std::function<void(std::size_t)>* job = nullptr;
-    std::size_t chunk = 1;
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
 

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <queue>
 
-#include "geom/predicates.hpp"
 #include "hilbert/hilbert.hpp"
 #include "rtree/costs.hpp"
-#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -124,45 +121,6 @@ geom::Rect PackedRTree::extent() const {
   return r;
 }
 
-void PackedRTree::filter_point(const geom::Point& p, ExecHooks& hooks,
-                               std::vector<std::uint32_t>& out) const {
-  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
-}
-
-void PackedRTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
-                               std::vector<std::uint32_t>& out) const {
-  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
-}
-
-void PackedRTree::filter_route(std::span<const geom::Segment> legs, ExecHooks& hooks,
-                               std::vector<std::uint32_t>& out) const {
-  if (legs.empty()) return;
-  // Cheap per-leg prefilter: the leg's own MBR vs the entry MBR, with
-  // the exact (soft-float-priced) segment/rect test only on overlap.
-  std::vector<geom::Rect> leg_mbrs;
-  leg_mbrs.reserve(legs.size());
-  for (const geom::Segment& l : legs) leg_mbrs.push_back(l.mbr());
-
-  const std::size_t first_out = out.size();
-  filter_dfs(nodes_, root_, base_addr_, hooks, InstrMix{}, [&](const Mbr32& m) {
-    const geom::Rect r = m.rect();
-    for (std::size_t i = 0; i < legs.size(); ++i) {
-      hooks.instr(costs::kRectOverlap);
-      if (!r.intersects(leg_mbrs[i])) continue;
-      hooks.instr(costs::kSegRectIntersect);
-      if (geom::segment_intersects_rect(legs[i], r)) return true;
-    }
-    return false;
-  }, out);
-
-  // A record can be reached through one leaf only, but its MBR may meet
-  // several legs; the predicate short-circuits, so entries are already
-  // unique.  Keep the contract explicit for future tree variants.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first_out), out.end());
-  out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(first_out), out.end()),
-            out.end());
-}
-
 std::uint64_t PackedRTree::count_range(const geom::Rect& window) const {
   std::vector<std::uint32_t> out;
   filter_range(window, null_hooks(), out);
@@ -211,73 +169,6 @@ std::vector<std::uint32_t> PackedRTree::leaf_sequence() const {
   return out;
 }
 
-std::optional<NNResult> PackedRTree::nearest(const geom::Point& p, const SegmentStore& store,
-                                             ExecHooks& hooks) const {
-  return nearest_of(nearest_k(p, 1, store, hooks));
-}
-
-std::vector<NNResult> PackedRTree::nearest_k(const geom::Point& p, std::uint32_t k,
-                                             const SegmentStore& store,
-                                             ExecHooks& hooks) const {
-  std::vector<NNResult> out;
-  if (nodes_.empty() || k == 0) return out;
-
-  // Best-first search over a min-heap of (distance, kind, index) where
-  // kind distinguishes node entries from data entries.  Heap elements are
-  // 16 simulated bytes in scratch space.
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  const std::uint64_t heap_base = simaddr::kScratchBase + (1u << 20);
-  std::uint64_t heap_hint = heap_base;
-
-  auto heap_push = [&](const Item& it) {
-    hooks.instr(costs::kHeapOp);
-    hooks.write(heap_hint, 16);
-    heap_hint = heap_base + (heap.size() % 4096) * 16;
-    heap.push(it);
-  };
-  auto heap_pop = [&]() {
-    hooks.instr(costs::kHeapOp);
-    hooks.read(heap_base, 16);
-    Item it = heap.top();
-    heap.pop();
-    return it;
-  };
-
-  heap_push({0.0, false, root_});
-  while (!heap.empty()) {
-    const Item it = heap_pop();
-    if (it.is_data) {
-      out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-      if (out.size() == k) return out;
-      continue;
-    }
-    const Node& n = nodes_[it.idx];
-    const std::uint64_t na = node_addr(it.idx);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::uint32_t e = 0; e < n.count; ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.is_leaf()) {
-        // Exact distance to the data item (fetch + point-segment test).
-        const geom::Segment& s = store.fetch(n.entries[e].child, hooks);
-        hooks.instr(costs::kPointSegDist2);
-        heap_push({geom::point_segment_dist2(p, s), true, n.entries[e].child});
-      } else {
-        hooks.instr(costs::kRectDist2);
-        heap_push({n.entries[e].mbr.dist2(p), false, n.entries[e].child});
-      }
-    }
-  }
-  return out;  // fewer than k records in the store
-}
-
 bool PackedRTree::validate(const SegmentStore& store) const {
   if (nodes_.empty()) return store.empty();
   std::vector<bool> seen(store.size(), false);
@@ -312,64 +203,6 @@ bool PackedRTree::validate(const SegmentStore& store) const {
   }
   if (visited != nodes_.size()) return false;
   return std::all_of(seen.begin(), seen.end(), [](bool b) { return b; });
-}
-
-void refine_point(const SegmentStore& store, const geom::Point& p,
-                  std::span<const std::uint32_t> candidates, ExecHooks& hooks,
-                  std::vector<std::uint32_t>& out_ids) {
-  std::uint64_t result_addr = simaddr::kScratchBase + (2u << 20);
-  for (const std::uint32_t rec : candidates) {
-    hooks.instr(costs::kCandidateFetch);
-    const geom::Segment& s = store.fetch(rec, hooks);
-    hooks.instr(costs::kPointOnSegment);
-    if (geom::point_on_segment(p, s)) {
-      hooks.instr(costs::kResultPush);
-      hooks.write(result_addr, 4);
-      result_addr += 4;
-      out_ids.push_back(store.id(rec));
-    }
-  }
-}
-
-void refine_route(const SegmentStore& store, std::span<const geom::Segment> legs,
-                  std::span<const std::uint32_t> candidates, ExecHooks& hooks,
-                  std::vector<std::uint32_t>& out_ids) {
-  std::uint64_t result_addr = simaddr::kScratchBase + (2u << 20);
-  for (const std::uint32_t rec : candidates) {
-    hooks.instr(costs::kCandidateFetch);
-    const geom::Segment& s = store.fetch(rec, hooks);
-    bool hit = false;
-    for (const geom::Segment& l : legs) {
-      hooks.instr(costs::kSegSegIntersect);
-      if (geom::segments_intersect(s, l)) {
-        hit = true;
-        break;
-      }
-    }
-    if (hit) {
-      hooks.instr(costs::kResultPush);
-      hooks.write(result_addr, 4);
-      result_addr += 4;
-      out_ids.push_back(store.id(rec));
-    }
-  }
-}
-
-void refine_range(const SegmentStore& store, const geom::Rect& window,
-                  std::span<const std::uint32_t> candidates, ExecHooks& hooks,
-                  std::vector<std::uint32_t>& out_ids) {
-  std::uint64_t result_addr = simaddr::kScratchBase + (2u << 20);
-  for (const std::uint32_t rec : candidates) {
-    hooks.instr(costs::kCandidateFetch);
-    const geom::Segment& s = store.fetch(rec, hooks);
-    hooks.instr(costs::kSegRectIntersect);
-    if (geom::segment_intersects_rect(s, window)) {
-      hooks.instr(costs::kResultPush);
-      hooks.write(result_addr, 4);
-      result_addr += 4;
-      out_ids.push_back(store.id(rec));
-    }
-  }
 }
 
 ExecHooks& null_hooks() {

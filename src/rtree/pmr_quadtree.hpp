@@ -22,7 +22,7 @@
 
 #include "geom/rect.hpp"
 #include "rtree/exec.hpp"
-#include "rtree/packed_rtree.hpp"  // NNResult
+#include "rtree/query.hpp"  // NNResult
 #include "rtree/segment_store.hpp"
 
 namespace mosaiq::rtree {

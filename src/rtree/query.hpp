@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <variant>
 #include <vector>
 
@@ -48,6 +49,19 @@ struct RouteQuery {
 };
 
 using Query = std::variant<PointQuery, RangeQuery, NNQuery, KnnQuery, RouteQuery>;
+
+/// One answer of a (k-)nearest-neighbor search.
+struct NNResult {
+  std::uint32_t record = 0;  ///< record index in the store
+  std::uint32_t id = 0;      ///< external object id
+  double dist = 0.0;
+};
+
+/// The nearest result of a k-NN answer, if it has one.
+inline std::optional<NNResult> nearest_of(const std::vector<NNResult>& knn) {
+  if (knn.empty()) return std::nullopt;
+  return knn.front();
+}
 
 enum class QueryKind : std::uint8_t { Point, Range, NN, Knn, Route };
 

@@ -16,7 +16,7 @@
 #include "rtree/dynamic_rtree.hpp"  // DynNode
 #include "rtree/exec.hpp"
 #include "rtree/node.hpp"
-#include "rtree/packed_rtree.hpp"  // NNResult
+#include "rtree/query.hpp"  // NNResult
 #include "rtree/segment_store.hpp"
 
 namespace mosaiq::rtree {

@@ -14,6 +14,12 @@
 //                      and Mbr32 have)
 //   entry_child(n, e)  entry e's child node (internal) or record (leaf)
 // A tree whose root holds no entries is empty: a query charges nothing.
+//
+// Every traversal is a template over its hooks type.  A caller holding
+// a machine model (sim::ClientCpu or sim::ServerCpu, both final) gets a
+// copy whose events are direct calls the compiler can inline; a caller
+// holding ExecHooks& gets the type-erased copy.  Both come from the one
+// source below, so they charge the same events in the same order.
 #pragma once
 
 #include <cmath>
@@ -29,7 +35,7 @@
 #include "rtree/costs.hpp"
 #include "rtree/exec.hpp"
 #include "rtree/node.hpp"
-#include "rtree/packed_rtree.hpp"  // NNResult
+#include "rtree/query.hpp"  // NNResult
 #include "rtree/segment_store.hpp"
 
 namespace mosaiq::rtree {
@@ -37,9 +43,9 @@ namespace mosaiq::rtree {
 /// Depth-first filtering: appends the leaf entries whose box satisfies
 /// `pred` to `out`, descending into every internal entry that does.
 /// Each entry test is charged `pred_cost`.
-template <typename Node, typename Pred>
+template <typename Node, typename Hooks, typename Pred>
 void filter_dfs(const std::vector<Node>& nodes, std::uint32_t root, std::uint64_t base_addr,
-                ExecHooks& hooks, const InstrMix& pred_cost, Pred&& pred,
+                Hooks& hooks, const InstrMix& pred_cost, Pred&& pred,
                 std::vector<std::uint32_t>& out) {
   if (nodes.empty() || entry_count(nodes[root]) == 0) return;
   std::uint64_t result_addr = simaddr::kScratchBase;
@@ -69,17 +75,17 @@ void filter_dfs(const std::vector<Node>& nodes, std::uint32_t root, std::uint64_
 }
 
 /// Point-query filtering: candidates whose box contains `p`.
-template <typename Node>
+template <typename Node, typename Hooks>
 void point_dfs(const std::vector<Node>& nodes, std::uint32_t root, std::uint64_t base_addr,
-               const geom::Point& p, ExecHooks& hooks, std::vector<std::uint32_t>& out) {
+               const geom::Point& p, Hooks& hooks, std::vector<std::uint32_t>& out) {
   filter_dfs(nodes, root, base_addr, hooks, costs::kRectContainsPoint,
              [&](const auto& box) { return box.contains(p); }, out);
 }
 
 /// Range-query filtering: candidates whose box meets `window`.
-template <typename Node>
+template <typename Node, typename Hooks>
 void range_dfs(const std::vector<Node>& nodes, std::uint32_t root, std::uint64_t base_addr,
-               const geom::Rect& window, ExecHooks& hooks, std::vector<std::uint32_t>& out) {
+               const geom::Rect& window, Hooks& hooks, std::vector<std::uint32_t>& out) {
   filter_dfs(nodes, root, base_addr, hooks, costs::kRectOverlap,
              [&](const auto& box) { return box.intersects(window); }, out);
 }
@@ -90,11 +96,10 @@ void range_dfs(const std::vector<Node>& nodes, std::uint32_t root, std::uint64_t
 /// ascending distance.  Returns fewer than k when the tree holds fewer.
 /// The packed tree keeps its own search, which also charges the heap's
 /// simulated memory traffic.
-template <typename Node>
+template <typename Node, typename Hooks>
 std::vector<NNResult> best_first_knn(const std::vector<Node>& nodes, std::uint32_t root,
                                      std::uint64_t base_addr, const geom::Point& p,
-                                     std::uint32_t k, const SegmentStore& store,
-                                     ExecHooks& hooks) {
+                                     std::uint32_t k, const SegmentStore& store, Hooks& hooks) {
   std::vector<NNResult> out;
   if (k == 0 || entry_count(nodes[root]) == 0) return out;
   struct Item {

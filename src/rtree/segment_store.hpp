@@ -51,8 +51,10 @@ class SegmentStore {
   std::uint64_t bytes() const { return segs_.size() * std::uint64_t{kRecordBytes}; }
 
   /// Reads the coordinates of record i through the hooks (32 B: the part
-  /// of the record the geometric predicates actually touch).
-  const geom::Segment& fetch(std::uint32_t i, ExecHooks& hooks) const {
+  /// of the record the geometric predicates actually touch).  A template
+  /// over the hooks type, like the kernels that call it.
+  template <typename Hooks>
+  const geom::Segment& fetch(std::uint32_t i, Hooks& hooks) const {
     hooks.read(addr_of(i), 32);
     return segs_[i];
   }

@@ -36,9 +36,10 @@ ClientConstants::ClientConstants(const ClientConfig& c) : cfg(c) {
   // The walk fetches PCs kCodeBase + 4i from a line-aligned base, so fetch
   // i starts a line exactly when 4i is a multiple of the line size.
   fetches_per_line = std::max<std::uint64_t>(cfg.icache.line_bytes / 4, 1);
+  walk_fetches = cfg.code_footprint_bytes / 4;
   assert(std::has_single_bit(cfg.dcache.line_bytes));
   dcache_line_shift = static_cast<std::uint32_t>(std::countr_zero(cfg.dcache.line_bytes));
-  walk_icache_j.assign(cfg.code_footprint_bytes / 4 + 1, 0.0);
+  walk_icache_j.assign(walk_fetches + 1, 0.0);
   for (std::size_t i = 1; i < walk_icache_j.size(); ++i) {
     walk_icache_j[i] = walk_icache_j[i - 1] + table.icache_nj * kNanojoule;
   }
@@ -50,7 +51,7 @@ ClientCpu::ClientCpu(const ClientConfig& cfg)
 ClientCpu::ClientCpu(std::shared_ptr<const ClientConstants> constants)
     : constants_(std::move(constants)), dcache_(constants_->cfg.dcache) {}
 
-void ClientCpu::fetch(std::uint64_t n) {
+std::uint64_t ClientCpu::fetch_walk(std::uint64_t n) {
   // The first footprint/4 fetches walk the code footprint once, in order;
   // afterwards the footprint is resident (16 KB >= 8 KB) and every fetch
   // hits, so only energy is advanced and the stats stay at their warm
@@ -60,106 +61,39 @@ void ClientCpu::fetch(std::uint64_t n) {
   // dram_j only ever add their one constant, one copy per transfer.
   const ClientConstants& c = *constants_;
   const std::uint64_t done = icache_stats_.accesses;
-  const std::uint64_t walk = c.walk_icache_j.size() - 1;
-  if (done < walk) {
-    const std::uint64_t steps = std::min(n, walk - done);
-    const std::uint64_t end = done + steps;
-    const std::uint64_t per_line = c.fetches_per_line;
-    // Multiples of per_line in [done, end).
-    const std::uint64_t misses =
-        (end + per_line - 1) / per_line - (done + per_line - 1) / per_line;
-    icache_stats_.accesses = end;
-    icache_stats_.misses += misses;
-    icache_stats_.hits = end - icache_stats_.misses;
-    stall_cycles_ += misses * c.cfg.mem_latency_cycles;
-    cycles_ += misses * c.cfg.mem_latency_cycles;
-    for (std::uint64_t i = 0; i < misses; ++i) {
-      energy_.bus_j += c.table.bus_line_nj * kNanojoule;
-      energy_.dram_j += c.table.dram_line_nj * kNanojoule;
-    }
-    energy_.icache_j = c.walk_icache_j[end];
-    n -= steps;
+  const std::uint64_t steps = std::min(n, c.walk_fetches - done);
+  const std::uint64_t end = done + steps;
+  const std::uint64_t per_line = c.fetches_per_line;
+  // Multiples of per_line in [done, end).
+  const std::uint64_t misses =
+      (end + per_line - 1) / per_line - (done + per_line - 1) / per_line;
+  icache_stats_.accesses = end;
+  icache_stats_.misses += misses;
+  icache_stats_.hits = end - icache_stats_.misses;
+  stall_cycles_ += misses * c.cfg.mem_latency_cycles;
+  cycles_ += misses * c.cfg.mem_latency_cycles;
+  for (std::uint64_t i = 0; i < misses; ++i) {
+    energy_.bus_j += c.table.bus_line_nj * kNanojoule;
+    energy_.dram_j += c.table.dram_line_nj * kNanojoule;
   }
-  if (n > 0) energy_.icache_j += static_cast<double>(n) * c.table.icache_nj * kNanojoule;
+  energy_.icache_j = c.walk_icache_j[end];
+  // mosaiq-lint: allow(unsigned-wrap) — steps = min(n, ...) <= n
+  return n - steps;
 }
 
-void ClientCpu::instr(const rtree::InstrMix& mix) {
-  const std::uint64_t n = mix.total();
-  if (n == 0) return;
-  instructions_ += n;
-  cycles_ += n;  // single-issue: one cycle per instruction
-  fetch(n);
-  const EnergyTable& t = constants_->table;
-  energy_.datapath_j +=
-      (mix.alu * t.alu_nj + mix.mul * t.mul_nj + mix.branch * t.branch_nj) * kNanojoule;
-  energy_.clock_j += static_cast<double>(n) * t.clock_nj * kNanojoule;
-}
-
-void ClientCpu::dcache_line_access(std::uint64_t addr, bool is_write) {
-  const auto r = dcache_.access(addr, is_write);
+void ClientCpu::charge_miss(bool writeback) {
   const ClientConfig& cfg = constants_->cfg;
   const EnergyTable& t = constants_->table;
-  energy_.dcache_j += t.dcache_nj * kNanojoule;
-  if (!r.hit) {
-    stall_cycles_ += cfg.mem_latency_cycles;
-    cycles_ += cfg.mem_latency_cycles;
-    // mosaiq-lint: allow(unit-flow) — clock_nj is the clock tree's energy per cycle
-    energy_.clock_j += static_cast<double>(cfg.mem_latency_cycles) * t.clock_nj * kNanojoule;
+  stall_cycles_ += cfg.mem_latency_cycles;
+  cycles_ += cfg.mem_latency_cycles;
+  // mosaiq-lint: allow(unit-flow) — clock_nj is the clock tree's energy per cycle
+  energy_.clock_j += static_cast<double>(cfg.mem_latency_cycles) * t.clock_nj * kNanojoule;
+  energy_.bus_j += t.bus_line_nj * kNanojoule;
+  energy_.dram_j += t.dram_line_nj * kNanojoule;
+  if (writeback) {
     energy_.bus_j += t.bus_line_nj * kNanojoule;
     energy_.dram_j += t.dram_line_nj * kNanojoule;
   }
-  if (r.writeback) {
-    energy_.bus_j += t.bus_line_nj * kNanojoule;
-    energy_.dram_j += t.dram_line_nj * kNanojoule;
-  }
-}
-
-void ClientCpu::read(std::uint64_t addr, std::uint32_t bytes) {
-  if (bytes == 0) return;
-  // One word-sized load per 4 bytes; one D-cache array access per line
-  // touched (sequential words within a line pipeline through it).
-  const ClientConfig& cfg = constants_->cfg;
-  const EnergyTable& t = constants_->table;
-  const std::uint32_t shift = constants_->dcache_line_shift;
-  const std::uint64_t first = addr >> shift;
-  const std::uint64_t last = (addr + bytes - 1) >> shift;
-  const std::uint64_t words = (bytes + 3) / 4;
-
-  instructions_ += words;
-  cycles_ += words * cfg.cache_hit_cycles;
-  fetch(words);
-  energy_.datapath_j += static_cast<double>(words) * t.mem_op_nj * kNanojoule;
-  energy_.clock_j += static_cast<double>(words) * t.clock_nj * kNanojoule;
-  // Every word access reads the data array; tag-check misses are resolved
-  // at line granularity below.
-  // mosaiq-lint: allow(unsigned-wrap) — bytes > 0, so last >= first
-  const std::uint64_t lines = last - first + 1;
-  if (words > lines) {
-    energy_.dcache_j += static_cast<double>(words - lines) * t.dcache_nj * kNanojoule;
-  }
-  for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l << shift, false);
-}
-
-void ClientCpu::write(std::uint64_t addr, std::uint32_t bytes) {
-  if (bytes == 0) return;
-  const ClientConfig& cfg = constants_->cfg;
-  const EnergyTable& t = constants_->table;
-  const std::uint32_t shift = constants_->dcache_line_shift;
-  const std::uint64_t first = addr >> shift;
-  const std::uint64_t last = (addr + bytes - 1) >> shift;
-  const std::uint64_t words = (bytes + 3) / 4;
-
-  instructions_ += words;
-  cycles_ += words * cfg.cache_hit_cycles;
-  fetch(words);
-  energy_.datapath_j += static_cast<double>(words) * t.mem_op_nj * kNanojoule;
-  energy_.clock_j += static_cast<double>(words) * t.clock_nj * kNanojoule;
-  // mosaiq-lint: allow(unsigned-wrap) — bytes > 0, so last >= first
-  const std::uint64_t lines = last - first + 1;
-  if (words > lines) {
-    energy_.dcache_j += static_cast<double>(words - lines) * t.dcache_nj * kNanojoule;
-  }
-  for (std::uint64_t l = first; l <= last; ++l) dcache_line_access(l << shift, true);
 }
 
 void ClientCpu::wait_seconds(double seconds, WaitPolicy policy) {

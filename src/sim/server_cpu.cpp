@@ -45,8 +45,6 @@ ServerCpu::ServerCpu(const ServerConfig& cfg)
   }
 }
 
-void ServerCpu::instr(const rtree::InstrMix& mix) { instructions_ += mix.total(); }
-
 bool ServerCpu::tlb_lookup(std::uint64_t page) {
   // The caller has ruled out tlb_mru_page_.
   ++tlb_tick_;
@@ -58,15 +56,25 @@ bool ServerCpu::tlb_lookup(std::uint64_t page) {
     tlb_[slot].lru = tlb_tick_;
     return true;
   }
-  std::size_t victim = 0;
-  for (std::size_t i = 0; i < tlb_.size(); ++i) {
-    TlbEntry& e = tlb_[i];
-    if (e.page == page) {
-      e.lru = tlb_tick_;
+  // Two flat passes: the page, then (on a miss) the LRU victim.
+  const std::size_t n = tlb_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tlb_[i].page == page) {
+      tlb_[i].lru = tlb_tick_;
       slot = static_cast<std::uint16_t>(i);
       return true;
     }
-    if (e.lru < tlb_[victim].lru) victim = i;
+  }
+  // The first entry with the lowest tick.  Ticks are unique except the
+  // initial zeros, where the lowest index wins, as a strict compare
+  // against the victim's tick does.
+  std::size_t victim = 0;
+  std::uint64_t oldest = tlb_[0].lru;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t lru = tlb_[i].lru;
+    const bool older = lru < oldest;
+    oldest = older ? lru : oldest;
+    victim = older ? i : victim;
   }
   ++tlb_misses_;
   tlb_[victim] = TlbEntry{page, tlb_tick_};
@@ -74,46 +82,23 @@ bool ServerCpu::tlb_lookup(std::uint64_t page) {
   return false;
 }
 
-void ServerCpu::mem_access(std::uint64_t addr, bool is_write) {
-  if (buffer_cache_) {
-    const auto r = buffer_cache_->access(addr, is_write);
-    if (!r.hit) {
-      ++bc_misses_;
-      const std::uint64_t page = addr / cfg_.io_page_bytes;
-      disk_seconds_ += (page == last_page_ + 1)
-                           ? cfg_.disk.sequential_page_s(cfg_.io_page_bytes)
-                           : cfg_.disk.random_page_s(cfg_.io_page_bytes);
-      last_page_ = page;
-    }
-  }
-  // A page is resident at most once, and the last entry used already
-  // holds the newest tick, so a repeat hit on it changes no LRU order.
-  const std::uint64_t page = addr >> page_shift_;
-  if (page != tlb_mru_page_ && !tlb_lookup(page)) stall_cycles_ += cfg_.tlb_miss_cycles;
-  const auto r1 = l1d_.access(addr, is_write);
-  if (r1.hit) return;
+void ServerCpu::disk_access(std::uint64_t addr, bool is_write) {
+  const auto r = buffer_cache_->access(addr, is_write);
+  if (r.hit) return;
+  ++bc_misses_;
+  const std::uint64_t page = addr / cfg_.io_page_bytes;
+  disk_seconds_ += (page == last_page_ + 1) ? cfg_.disk.sequential_page_s(cfg_.io_page_bytes)
+                                            : cfg_.disk.random_page_s(cfg_.io_page_bytes);
+  last_page_ = page;
+}
+
+void ServerCpu::l1d_miss(std::uint64_t addr, bool is_write) {
   const auto r2 = l2_.access(addr, is_write);
   if (r2.hit) {
     stall_cycles_ += cfg_.l2_hit_cycles;
   } else {
     stall_cycles_ += cfg_.l2_hit_cycles + cfg_.mem_latency_cycles;
   }
-}
-
-void ServerCpu::read(std::uint64_t addr, std::uint32_t bytes) {
-  if (bytes == 0) return;
-  const std::uint64_t first = addr >> line_shift_;
-  const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
-  instructions_ += (bytes + 3) / 4;
-  for (std::uint64_t l = first; l <= last; ++l) mem_access(l << line_shift_, false);
-}
-
-void ServerCpu::write(std::uint64_t addr, std::uint32_t bytes) {
-  if (bytes == 0) return;
-  const std::uint64_t first = addr >> line_shift_;
-  const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
-  instructions_ += (bytes + 3) / 4;
-  for (std::uint64_t l = first; l <= last; ++l) mem_access(l << line_shift_, true);
 }
 
 std::uint64_t ServerCpu::cycles() const {

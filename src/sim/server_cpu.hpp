@@ -19,6 +19,11 @@
 // lookup: that entry already holds the newest LRU tick, so a repeat hit
 // on it changes nothing.  A repeat line is likewise a hit that changes
 // nothing in the L1D (see sim/cache.hpp).
+//
+// That per-event path (instr, the read/write line loop and both repeat
+// checks) is inline, so a kernel compiled for ServerCpu
+// (rtree/search.hpp) runs it without a call.  The TLB lookup, the L1D's
+// full lookup, an L1D miss and the disk tier stay out of line.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +42,9 @@ class ServerCpu final : public rtree::ExecHooks {
   explicit ServerCpu(const ServerConfig& cfg);
 
   // --- ExecHooks ------------------------------------------------------
-  void instr(const rtree::InstrMix& mix) override;
-  void read(std::uint64_t addr, std::uint32_t bytes) override;
-  void write(std::uint64_t addr, std::uint32_t bytes) override;
+  void instr(const rtree::InstrMix& mix) override { instructions_ += mix.total(); }
+  void read(std::uint64_t addr, std::uint32_t bytes) override { access(addr, bytes, false); }
+  void write(std::uint64_t addr, std::uint32_t bytes) override { access(addr, bytes, true); }
 
   // --- Accounting -----------------------------------------------------
 
@@ -60,8 +65,30 @@ class ServerCpu final : public rtree::ExecHooks {
   const ServerConfig& config() const { return cfg_; }
 
  private:
-  void mem_access(std::uint64_t addr, bool is_write);
+  /// One word-sized memory instruction per 4 bytes; one memory access
+  /// per line touched.
+  void access(std::uint64_t addr, std::uint32_t bytes, bool is_write) {
+    if (bytes == 0) return;
+    const std::uint64_t first = addr >> line_shift_;
+    const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
+    instructions_ += (bytes + 3) / 4;
+    for (std::uint64_t l = first; l <= last; ++l) mem_access(l << line_shift_, is_write);
+  }
+
+  /// One line through the disk tier (if any), the TLB, the L1D and,
+  /// on an L1D miss, the L2.
+  void mem_access(std::uint64_t addr, bool is_write) {
+    if (buffer_cache_) [[unlikely]] disk_access(addr, is_write);
+    // A page is resident at most once, and the last entry used already
+    // holds the newest tick, so a repeat hit on it changes no LRU order.
+    const std::uint64_t page = addr >> page_shift_;
+    if (page != tlb_mru_page_ && !tlb_lookup(page)) stall_cycles_ += cfg_.tlb_miss_cycles;
+    if (!l1d_.access(addr, is_write).hit) l1d_miss(addr, is_write);
+  }
+
+  void disk_access(std::uint64_t addr, bool is_write);
   bool tlb_lookup(std::uint64_t page);
+  void l1d_miss(std::uint64_t addr, bool is_write);
 
   ServerConfig cfg_;
   Cache l1d_;
@@ -81,9 +108,9 @@ class ServerCpu final : public rtree::ExecHooks {
 
   // Fully-associative LRU TLB.  A page is compared with tlb_mru_page_
   // (the page of the entry used last), then looked up in the entry
-  // tlb_slot_ names for the page's hash, then by a scan of every entry
-  // that also finds the LRU victim and records the entry it found or
-  // filled in the page's slot.  A slot
+  // tlb_slot_ names for the page's hash, then by a scan of every entry;
+  // a miss makes a second pass for the LRU victim.  The entry found or
+  // filled is recorded in the page's slot.  A slot
   // is trusted only when its entry still holds the page.  The slot is
   // hashed from the page number rather than masked from it: every
   // simaddr region (and the NIC buffer 4 MB past kNetBase) starts at a

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "geom/predicates.hpp"
+#include "rtree/packed_rtree.hpp"
 #include "rtree/pmr_quadtree.hpp"
 
 namespace mosaiq::rtree {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/query_exec.hpp"
 #include "core/session.hpp"
+#include "outcome_bits.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::core {
@@ -240,6 +246,96 @@ TEST(Session, FullyDeterministic) {
   EXPECT_EQ(a.answers, b.answers);
   EXPECT_DOUBLE_EQ(a.energy.total_j(), b.energy.total_j());
   EXPECT_DOUBLE_EQ(a.wall_seconds, b.wall_seconds);
+}
+
+/// Runs `queries` through the Table-1 steps on one client and one
+/// server, as Session does minus the transport; returns the answers and
+/// adds the request and response payloads to `payload_bytes`.  Called
+/// with the machine models themselves it runs the copies Session and
+/// the fleet run; called with ExecHooks it runs the type-erased copies.
+template <typename Client, typename Server>
+std::uint64_t run_steps(Client& client, Server& server, Scheme s, bool data_at_client,
+                        std::span<const rtree::Query> queries, std::uint64_t& payload_bytes) {
+  std::uint64_t answers = 0;
+  for (const rtree::Query& q : queries) {
+    std::vector<std::uint32_t> cand;
+    SchemeSteps steps(data(), q, s, data_at_client, cand);
+    payload_bytes += steps.client_w1(client, answers);
+    if (!uses_server(s)) continue;
+    payload_bytes += steps.server_w2(server, answers);
+    steps.client_w3(client, answers);
+  }
+  return answers;
+}
+
+void expect_cache_stats(const sim::CacheStats& a, const sim::CacheStats& b, const char* what) {
+  EXPECT_EQ(a.accesses, b.accesses) << what;
+  EXPECT_EQ(a.hits, b.hits) << what;
+  EXPECT_EQ(a.misses, b.misses) << what;
+  EXPECT_EQ(a.writebacks, b.writebacks) << what;
+}
+
+TEST(SchemeSteps, MachineModelCopiesMatchTypeErased) {
+  // The kernels are compiled once per machine model (events call
+  // ClientCpu / ServerCpu directly) and once for ExecHooks&.  One source
+  // makes them the same events in the same order, so every simulated
+  // number must agree bit for bit, over every scheme x query kind x
+  // placement Session accepts.
+  using test_support::expect_bits;
+  for (const rtree::QueryKind kind :
+       {rtree::QueryKind::Point, rtree::QueryKind::Range, rtree::QueryKind::NN,
+        rtree::QueryKind::Knn, rtree::QueryKind::Route}) {
+    workload::QueryGen gen(data(), 5);
+    const std::vector<rtree::Query> queries = gen.batch(kind, 12);
+    const bool nn = kind == rtree::QueryKind::NN || kind == rtree::QueryKind::Knn;
+    for (const Scheme s : {Scheme::FullyAtClient, Scheme::FullyAtServer,
+                           Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient}) {
+      const bool hybrid =
+          s == Scheme::FilterClientRefineServer || s == Scheme::FilterServerRefineClient;
+      if (nn && hybrid) continue;
+      for (const bool data_at_client : {true, false}) {
+        SCOPED_TRACE(std::string(name_of(kind)) + " " + name_of(s) +
+                     (data_at_client ? " data@client" : " data@server"));
+        const SessionConfig cfg = base_config();
+        sim::ClientCpu client(cfg.client), erased_client(cfg.client);
+        sim::ServerCpu server(cfg.server), erased_server(cfg.server);
+        std::uint64_t bytes = 0, erased_bytes = 0;
+        const std::uint64_t answers =
+            run_steps(client, server, s, data_at_client, queries, bytes);
+        const std::uint64_t erased_answers = run_steps<rtree::ExecHooks, rtree::ExecHooks>(
+            erased_client, erased_server, s, data_at_client, queries, erased_bytes);
+
+        EXPECT_EQ(answers, erased_answers);
+        EXPECT_EQ(bytes, erased_bytes);
+        const sim::EnergyBreakdown& e = client.energy();
+        const sim::EnergyBreakdown& f = erased_client.energy();
+        expect_bits(e.datapath_j, f.datapath_j, "datapath_j");
+        expect_bits(e.clock_j, f.clock_j, "clock_j");
+        expect_bits(e.icache_j, f.icache_j, "icache_j");
+        expect_bits(e.dcache_j, f.dcache_j, "dcache_j");
+        expect_bits(e.bus_j, f.bus_j, "bus_j");
+        expect_bits(e.dram_j, f.dram_j, "dram_j");
+        expect_bits(e.idle_j, f.idle_j, "idle_j");
+        EXPECT_EQ(client.busy_cycles(), erased_client.busy_cycles());
+        EXPECT_EQ(client.stall_cycles(), erased_client.stall_cycles());
+        EXPECT_EQ(client.instructions(), erased_client.instructions());
+        expect_cache_stats(client.icache_stats(), erased_client.icache_stats(), "client I-cache");
+        expect_cache_stats(client.dcache_stats(), erased_client.dcache_stats(), "client D-cache");
+        EXPECT_EQ(server.cycles(), erased_server.cycles());
+        EXPECT_EQ(server.instructions(), erased_server.instructions());
+        expect_cache_stats(server.l1d_stats(), erased_server.l1d_stats(), "server L1D");
+        expect_cache_stats(server.l2_stats(), erased_server.l2_stats(), "server L2");
+        EXPECT_EQ(server.tlb_misses(), erased_server.tlb_misses());
+        // The batch did real work on the machine it ran on.
+        if (s != Scheme::FullyAtServer) {
+          EXPECT_GT(client.instructions(), 0u);
+        }
+        if (uses_server(s)) {
+          EXPECT_GT(server.instructions(), 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

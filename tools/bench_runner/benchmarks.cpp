@@ -74,8 +74,11 @@ std::vector<rtree::Query> queries(rtree::QueryKind kind, std::size_t n,
 }
 
 /// Filter + refine over a batch of point and range queries, charged to
-/// `hooks`; returns the answer count.
-std::uint64_t filter_refine(const std::vector<rtree::Query>& qs, rtree::ExecHooks& hooks) {
+/// `hooks`; returns the answer count.  A template over the hooks type,
+/// as the kernels are, so the sim/ entries time the copy compiled for
+/// their machine model (the one Session and the fleet run).
+template <typename Hooks>
+std::uint64_t filter_refine(const std::vector<rtree::Query>& qs, Hooks& hooks) {
   std::vector<std::uint32_t> cand;
   std::vector<std::uint32_t> ids;
   std::uint64_t answers = 0;
