@@ -13,7 +13,7 @@
 #include <iostream>
 #include <random>
 
-#include "core/consistent_client.hpp"
+#include "core/caching_client.hpp"
 #include "figure_common.hpp"
 
 using namespace mosaiq;
@@ -43,11 +43,11 @@ int main() {
          {core::ConsistencyPolicy::None, core::ConsistencyPolicy::Revalidate,
           core::ConsistencyPolicy::Ttl, core::ConsistencyPolicy::Lease}) {
       core::VersionedServer server(pa);
-      core::ConsistencyConfig cc;
-      cc.policy = policy;
+      core::CachingConfig cc;
+      cc.consistency = policy;
       cc.ttl_queries = 10;
       cc.think_time_s = 2.0;
-      core::ConsistentCachingClient client(server, cfg, cc);
+      core::CachingClient client(server, cfg, cc);
 
       std::mt19937_64 rng(99);
       std::uniform_real_distribution<double> u(0.0, 1.0);

@@ -8,8 +8,8 @@
 #   4. header self-containment (scripts/check_headers.sh)
 #   5. docs <-> code consistency, the bench smoke gate, clang-tidy
 #   6. fleet scale gate (scripts/check_fleet_scale.sh: 1M clients, then
-#      100k under churn; ~30 s, ~3 GB peak, so it runs here rather than
-#      under ctest -j)
+#      100k under churn; under 20 s and 1 GB in Release, so it runs here
+#      rather than under ctest -j)
 #   7. perfbench smoke gate (scripts/check_perfbench.sh: builds the
 #      workload benchmark's own Release tree, runs every workload for
 #      1 s and requires every output check to pass; ~11 s once built)

@@ -2,23 +2,9 @@
 
 namespace mosaiq::core {
 
-namespace {
-
-PlannerEnv env_from(const SessionConfig& cfg) {
-  PlannerEnv env;
-  env.data_at_client = cfg.placement.data_at_client;
-  env.bandwidth_mbps = cfg.channel.bandwidth_mbps;
-  env.distance_m = cfg.channel.distance_m;
-  env.client_mhz = cfg.client.clock_mhz;
-  env.server_mhz = cfg.server.clock_mhz;
-  return env;
-}
-
-}  // namespace
-
 AdaptiveSession::AdaptiveSession(const workload::Dataset& dataset, const SessionConfig& base,
                                  Objective objective)
-    : session_(dataset, base), planner_(dataset, env_from(base)), objective_(objective) {}
+    : session_(dataset, base), planner_(dataset, planner_env(base)), objective_(objective) {}
 
 QueryStatus AdaptiveSession::run_query(const rtree::Query& q) {
   const Scheme s = planner_.choose(q, objective_, session_.client_hooks());

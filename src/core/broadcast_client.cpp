@@ -1,8 +1,10 @@
 #include "core/broadcast_client.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
-#include "serial/messages.hpp"
+#include "core/query_exec.hpp"
 
 namespace mosaiq::core {
 
@@ -17,14 +19,14 @@ BroadcastClient::BroadcastClient(const workload::Dataset& master, const SessionC
       server_(base.server),
       transport_(base.channel, base.nic_power, base.protocol, base.wait_policy, client_,
                  server_),
-      bc_nic_(base.nic_power, base.channel.distance_m) {}
+      ledger_(base.nic_power, base.channel.distance_m) {
+  if (cfg_.fault.enabled()) {
+    throw std::invalid_argument("BroadcastClient: link faults are not modeled");
+  }
+}
 
 void BroadcastClient::run_local(const rtree::RangeQuery& q) {
-  std::vector<std::uint32_t> cand;
-  std::vector<std::uint32_t> ids;
-  cached_tree_.filter_range(q.window, client_, cand);
-  rtree::refine_range(cached_store_, q.window, cand, client_, ids);
-  answers_ += ids.size();
+  answers_ += bucket_.answer(q.window, client_);
   transport_.settle_sleep();
 }
 
@@ -40,17 +42,18 @@ void BroadcastClient::tune_and_run(std::size_t region, const rtree::RangeQuery& 
   const double t_doze = program_.mean_doze_s(region);
   const double t_bucket = static_cast<double>(r.bucket_bytes) / bytes_per_s;
 
-  bc_wall_seconds_ += bc_nic_.sleep_exit();
-  bc_nic_.spend(net::NicState::Idle, t_wait);
-  bc_nic_.spend(net::NicState::Receive, t_index);
-  bc_nic_.spend(net::NicState::Sleep, t_doze);
-  bc_nic_.spend(net::NicState::Receive, t_bucket);
+  ledger_.wall_s += ledger_.nic.sleep_exit();
+  ledger_.nic.spend(net::NicState::Idle, t_wait);
+  ledger_.nic.spend(net::NicState::Receive, t_index);
+  ledger_.nic.spend(net::NicState::Sleep, t_doze);
+  ledger_.nic.spend(net::NicState::Receive, t_bucket);
   client_.wait_seconds(t_wait + t_index + t_doze + t_bucket, cfg_.wait_policy);
-  bc_wall_seconds_ += t_wait + t_index + t_doze + t_bucket;
-  bc_cycles_.wait += static_cast<std::uint64_t>(std::llround((t_wait + t_doze) * client_hz));
-  bc_cycles_.nic_rx +=
+  ledger_.wall_s += t_wait + t_index + t_doze + t_bucket;
+  ledger_.cycles.wait +=
+      static_cast<std::uint64_t>(std::llround((t_wait + t_doze) * client_hz));
+  ledger_.cycles.nic_rx +=
       static_cast<std::uint64_t>(std::llround((t_index + t_bucket) * client_hz));
-  bc_bytes_rx_ += program_.index_bytes + r.bucket_bytes;
+  ledger_.bytes_rx += program_.index_bytes + r.bucket_bytes;
 
   // Unpack: directory + bucket payload pass through the protocol stack.
   // Settling right after folds the protocol busy time into the wall
@@ -69,36 +72,24 @@ void BroadcastClient::tune_and_run(std::size_t region, const rtree::RangeQuery& 
     segs.push_back(master_.store.segment(rec));
     ids.push_back(master_.store.id(rec));
   }
-  cached_store_ = rtree::SegmentStore(std::move(segs), ids);
-  cached_tree_ = rtree::PackedRTree::build(cached_store_, rtree::SortOrder::PreSorted);
-  cached_region_ = region;
+  bucket_.install(std::move(segs), ids, r.rect);
   ++tunes_;
 
   run_local(q);
 }
 
 void BroadcastClient::fallback(const rtree::RangeQuery& q) {
-  serial::QueryRequest req;
-  req.op = serial::RemoteOp::FullQuery;
-  req.query = rtree::Query{q};
-  req.client_has_data = false;
-
-  transport_.exchange(req.encoded_size(), [&]() -> std::uint64_t {
-    std::vector<std::uint32_t> cand;
-    std::vector<std::uint32_t> ids;
-    master_.tree.filter_range(q.window, server_, cand);
-    rtree::refine_range(master_.store, q.window, cand, server_, ids);
-    answers_ += ids.size();
-    serial::RecordResponse resp;
-    resp.records.resize(ids.size());
-    return resp.encoded_size();
-  });
+  // On-demand fully-at-server, the data at the server: Session's exchange.
+  const rtree::Query query{q};
+  std::vector<std::uint32_t> cand;
+  SchemeSteps steps(master_, query, Scheme::FullyAtServer, /*data_at_client=*/false, cand);
+  transport_.exchange(steps.request_bytes(),
+                      [&]() -> std::uint64_t { return steps.server_w2(server_, answers_); });
   ++fallbacks_;
 }
 
 void BroadcastClient::run_query(const rtree::RangeQuery& q) {
-  if (bcfg_.cache_bucket && cached_region_ &&
-      program_.regions[*cached_region_].rect.contains(q.window)) {
+  if (bcfg_.cache_bucket && bucket_.covers(q.window)) {
     ++cache_hits_;
     run_local(q);
     return;
@@ -113,15 +104,8 @@ void BroadcastClient::run_query(const rtree::RangeQuery& q) {
 
 stats::Outcome BroadcastClient::outcome() {
   stats::Outcome o = transport_.snapshot();
-  o.cycles += bc_cycles_;
-  o.cycles.processor = client_.busy_cycles();
-  o.energy.nic_rx_j += bc_nic_.joules_in(net::NicState::Receive);
-  o.energy.nic_idle_j += bc_nic_.joules_in(net::NicState::Idle);
-  o.energy.nic_sleep_j += bc_nic_.joules_in(net::NicState::Sleep);
-  o.energy.processor_j = client_.energy().total_j();
-  o.bytes_rx += bc_bytes_rx_;
+  ledger_.add_to(o);
   o.answers = answers_;
-  o.wall_seconds += bc_wall_seconds_;
   return o;
 }
 

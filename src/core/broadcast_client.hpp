@@ -10,8 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
+#include "core/cached_region.hpp"
 #include "core/session.hpp"
 #include "net/broadcast.hpp"
 
@@ -23,6 +23,8 @@ struct BroadcastClientConfig {
 
 class BroadcastClient {
  public:
+  /// Throws std::invalid_argument when `base` enables link faults:
+  /// neither the broadcast channel nor the fallback models them.
   BroadcastClient(const workload::Dataset& master, const SessionConfig& base,
                   const net::BroadcastProgram& program, BroadcastClientConfig cfg = {});
 
@@ -46,17 +48,10 @@ class BroadcastClient {
 
   sim::ClientCpu client_;
   sim::ServerCpu server_;
-  Transport transport_;    ///< fallback path + sleep settlement + snapshot
-  net::Nic bc_nic_;        ///< broadcast-path NIC accounting
+  Transport transport_;       ///< fallback path + sleep settlement + snapshot
+  OffExchangeLedger ledger_;  ///< broadcast reception
+  CachedRegion bucket_;       ///< the last received bucket
 
-  // Cached bucket state.
-  rtree::SegmentStore cached_store_;
-  rtree::PackedRTree cached_tree_;
-  std::optional<std::size_t> cached_region_;
-
-  stats::CycleBreakdown bc_cycles_;
-  double bc_wall_seconds_ = 0;
-  std::uint64_t bc_bytes_rx_ = 0;
   std::uint64_t answers_ = 0;
   std::uint32_t tunes_ = 0;
   std::uint32_t cache_hits_ = 0;

@@ -225,13 +225,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // so disabled fleets never pay the density-grid construction.
   std::optional<BatteryScheduler> sched;
   if (fleet.scheduler.enabled) {
-    PlannerEnv env;
-    env.data_at_client = base.placement.data_at_client;
-    env.bandwidth_mbps = base.channel.bandwidth_mbps;
-    env.distance_m = base.channel.distance_m;
-    env.client_mhz = base.client.clock_mhz;
-    env.server_mhz = base.server.clock_mhz;
-    sched.emplace(dataset, env, fleet.scheduler, fleet.clients);
+    sched.emplace(dataset, planner_env(base), fleet.scheduler, fleet.clients);
   }
 
   // Zipf-skewed hotspots: with fleet.hotspots > 0 each client inverts a

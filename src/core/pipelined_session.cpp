@@ -15,7 +15,11 @@ PipelinedSession::PipelinedSession(const workload::Dataset& dataset, const Sessi
       pipe_(pipeline),
       client_((validate_config(base), base.client)),
       server_(base.server),
-      nic_(base.nic_power, base.channel.distance_m) {}
+      nic_(base.nic_power, base.channel.distance_m) {
+  if (cfg_.fault.enabled()) {
+    throw std::invalid_argument("PipelinedSession: link faults are not modeled");
+  }
+}
 
 void PipelinedSession::run_query(const rtree::Query& q) {
   if (!is_filterable(q)) {

@@ -29,6 +29,8 @@ struct PipelineConfig {
 
 class PipelinedSession {
  public:
+  /// Throws std::invalid_argument when `base` enables link faults,
+  /// which the pipelined schedule does not model.
   PipelinedSession(const workload::Dataset& dataset, const SessionConfig& base,
                    const PipelineConfig& pipeline);
 

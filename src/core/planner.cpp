@@ -4,12 +4,23 @@
 #include <cmath>
 #include <limits>
 
+#include "core/session.hpp"
 #include "net/nic.hpp"
 #include "net/protocol.hpp"
 #include "rtree/costs.hpp"
 #include "rtree/segment_store.hpp"
 
 namespace mosaiq::core {
+
+PlannerEnv planner_env(const SessionConfig& cfg) {
+  PlannerEnv env;
+  env.data_at_client = cfg.placement.data_at_client;
+  env.bandwidth_mbps = cfg.channel.bandwidth_mbps;
+  env.distance_m = cfg.channel.distance_m;
+  env.client_mhz = cfg.client.clock_mhz;
+  env.server_mhz = cfg.server.clock_mhz;
+  return env;
+}
 
 namespace {
 

@@ -41,6 +41,11 @@ struct PlannerEnv {
   double client_active_w = 0.07;
 };
 
+struct SessionConfig;
+
+/// The planner's slice of `cfg`: placement, channel and clocks.
+PlannerEnv planner_env(const SessionConfig& cfg);
+
 /// Coarse record-count histogram over the extent, used for selectivity
 /// estimation on the client.
 class DensityGrid {

@@ -16,14 +16,8 @@ namespace simaddr = rtree::simaddr;
 
 /// Response payload size for an answer of `n` ids/records.
 std::uint64_t answer_payload_bytes(std::uint64_t n, bool data_at_client) {
-  if (data_at_client) {
-    serial::IdListResponse r;
-    r.ids.resize(n);
-    return r.encoded_size();
-  }
-  serial::RecordResponse r;
-  r.records.resize(n);
-  return r.encoded_size();
+  return data_at_client ? serial::IdListResponse::size_for(n)
+                        : serial::RecordResponse::size_for(n);
 }
 
 /// Client-side refinement over records that arrived on the wire (data
@@ -93,14 +87,8 @@ std::uint64_t SchemeSteps::whole_query(Hooks& cpu) const {
 }
 
 std::uint64_t SchemeSteps::request_bytes() const {
-  serial::QueryRequest req;
-  req.op = scheme_ == Scheme::FilterClientRefineServer   ? serial::RemoteOp::RefineOnly
-           : scheme_ == Scheme::FilterServerRefineClient ? serial::RemoteOp::FilterOnly
-                                                         : serial::RemoteOp::FullQuery;
-  req.query = q_;
-  req.client_has_data = data_at_client_;
-  if (scheme_ == Scheme::FilterClientRefineServer) req.candidates = cand_;
-  return req.encoded_size();
+  return serial::QueryRequest::size_for(
+      q_, scheme_ == Scheme::FilterClientRefineServer ? cand_.size() : 0);
 }
 
 template <typename Hooks>

@@ -137,6 +137,30 @@ struct LinkFaultTally {
   }
 };
 
+/// What a client spends outside Transport::exchange(): think time,
+/// pushes it hears, broadcast reception.  It books on a NIC of its own,
+/// so the transport's per-state sums keep their order, and add_to()
+/// folds it into an Outcome; an empty ledger leaves every bit as it was.
+struct OffExchangeLedger {
+  OffExchangeLedger(const net::NicPowerModel& power, double distance_m)
+      : nic(power, distance_m) {}
+
+  net::Nic nic;
+  stats::CycleBreakdown cycles;
+  double wall_s = 0;
+  std::uint64_t bytes_rx = 0;
+
+  void add_to(stats::Outcome& o) const {
+    o.cycles += cycles;
+    o.energy.nic_tx_j += nic.joules_in(net::NicState::Transmit);
+    o.energy.nic_rx_j += nic.joules_in(net::NicState::Receive);
+    o.energy.nic_idle_j += nic.joules_in(net::NicState::Idle);
+    o.energy.nic_sleep_j += nic.joules_in(net::NicState::Sleep);
+    o.bytes_rx += bytes_rx;
+    o.wall_seconds += wall_s;
+  }
+};
+
 class Transport {
  public:
   Transport(const net::Channel& channel, const net::NicPowerModel& nic_power,

@@ -151,8 +151,10 @@ QueryRequest QueryRequest::decode(ByteReader& r) {
   return q;
 }
 
-std::uint64_t QueryRequest::encoded_size() const {
-  return 1 + 1 + query_size(query) + 8 + 4 + 4ull * candidates.size();
+std::uint64_t QueryRequest::encoded_size() const { return size_for(query, candidates.size()); }
+
+std::uint64_t QueryRequest::size_for(const rtree::Query& query, std::uint64_t n_candidates) {
+  return 1 + 1 + query_size(query) + 8 + 4 + 4 * n_candidates;
 }
 
 // --- IdListResponse ----------------------------------------------------------
@@ -171,7 +173,9 @@ IdListResponse IdListResponse::decode(ByteReader& r) {
   return resp;
 }
 
-std::uint64_t IdListResponse::encoded_size() const { return 4 + 4ull * ids.size(); }
+std::uint64_t IdListResponse::encoded_size() const { return size_for(ids.size()); }
+
+std::uint64_t IdListResponse::size_for(std::uint64_t n_ids) { return 4 + 4 * n_ids; }
 
 // --- RecordResponse ----------------------------------------------------------
 
@@ -189,8 +193,10 @@ RecordResponse RecordResponse::decode(ByteReader& r) {
   return resp;
 }
 
-std::uint64_t RecordResponse::encoded_size() const {
-  return 4 + std::uint64_t{rtree::kRecordBytes} * records.size();
+std::uint64_t RecordResponse::encoded_size() const { return size_for(records.size()); }
+
+std::uint64_t RecordResponse::size_for(std::uint64_t n_records) {
+  return 4 + std::uint64_t{rtree::kRecordBytes} * n_records;
 }
 
 // --- NNResponse ----------------------------------------------------------
@@ -241,7 +247,11 @@ ShipmentResponse ShipmentResponse::decode(ByteReader& r) {
 }
 
 std::uint64_t ShipmentResponse::encoded_size() const {
-  return 32 + 8 + 4 + std::uint64_t{rtree::kRecordBytes} * records.size() +
+  return size_for(records.size(), node_count);
+}
+
+std::uint64_t ShipmentResponse::size_for(std::uint64_t n_records, std::uint64_t node_count) {
+  return 32 + 8 + 4 + std::uint64_t{rtree::kRecordBytes} * n_records +
          node_count * rtree::kNodeBytes;
 }
 

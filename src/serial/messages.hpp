@@ -4,7 +4,9 @@
 // a query fits one packet; an answer is either a list of 4 B object ids
 // (data already resident on the client) or a list of 76 B records
 // (coordinates + id + 40 B attribute blob); the insufficient-memory
-// shipment carries records plus 512 B index node images.
+// shipment carries records plus 512 B index node images.  Each sized
+// message's static size_for() gives its encoded size from counts alone,
+// so the simulator prices a message without building it.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,8 @@ struct QueryRequest {
   void encode(ByteWriter& w) const;
   static QueryRequest decode(ByteReader& r);
   std::uint64_t encoded_size() const;
+  /// Encoded size of a request for `query` carrying `n_candidates` ids.
+  static std::uint64_t size_for(const rtree::Query& query, std::uint64_t n_candidates);
 };
 
 /// Server -> client: answer as object ids (data resident at client).
@@ -48,6 +52,7 @@ struct IdListResponse {
   void encode(ByteWriter& w) const;
   static IdListResponse decode(ByteReader& r);
   std::uint64_t encoded_size() const;
+  static std::uint64_t size_for(std::uint64_t n_ids);
 };
 
 /// One full data record on the wire (76 B + 4 B framing handled by the
@@ -65,6 +70,7 @@ struct RecordResponse {
   void encode(ByteWriter& w) const;
   static RecordResponse decode(ByteReader& r);
   std::uint64_t encoded_size() const;
+  static std::uint64_t size_for(std::uint64_t n_records);
 };
 
 /// Server -> client: nearest-neighbor answer.
@@ -90,6 +96,7 @@ struct ShipmentResponse {
   void encode(ByteWriter& w) const;
   static ShipmentResponse decode(ByteReader& r);
   std::uint64_t encoded_size() const;
+  static std::uint64_t size_for(std::uint64_t n_records, std::uint64_t node_count);
 };
 
 }  // namespace mosaiq::serial

@@ -2,6 +2,7 @@
 
 #include "core/broadcast_client.hpp"
 #include "geom/predicates.hpp"
+#include "outcome_bits.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::core {
@@ -140,6 +141,35 @@ TEST(BroadcastClient, HotBurstCheaperThanFallbackEnergy) {
   EXPECT_LT(via_broadcast.outcome().energy.total_j(), s.outcome().energy.total_j());
   // And with zero transmit energy.
   EXPECT_DOUBLE_EQ(via_broadcast.outcome().energy.nic_tx_j, 0.0);
+}
+
+TEST(BroadcastClient, ColdTrafficMatchesFullyAtServerSession) {
+  // Off the hot regions the client falls back to an on-demand
+  // fully-at-server exchange with the data at the server, so on all-cold
+  // traffic it must equal that Session bit for bit.
+  const net::BroadcastProgram p = program();
+  BroadcastClient c(data(), base_config(), p);
+  SessionConfig srv = base_config();
+  srv.scheme = Scheme::FullyAtServer;
+  srv.placement.data_at_client = false;
+  Session s(data(), srv);
+  for (int i = 0; i < 12; ++i) {
+    const double dx = 0.01 * i;
+    const rtree::RangeQuery q{{{0.70 + dx, 0.62}, {0.74 + dx, 0.67}}};
+    c.run_query(q);
+    s.run_query(rtree::Query{q});
+  }
+  EXPECT_EQ(c.fallbacks(), 12u);
+  test_support::expect_bit_identical(c.outcome(), s.outcome());
+}
+
+TEST(BroadcastClient, RejectsALossyLink) {
+  // Neither the broadcast channel nor the fallback models link faults;
+  // a lossy config must not run as if it were clean.
+  const net::BroadcastProgram p = program();
+  SessionConfig cfg = base_config();
+  cfg.fault.outages.push_back({1.0, 2.0});
+  EXPECT_THROW(BroadcastClient(data(), cfg, p), std::invalid_argument);
 }
 
 TEST(HotRegionsFromHistory, RecoversThePopularAreas) {

@@ -2,7 +2,8 @@
 
 #include <random>
 
-#include "core/consistent_client.hpp"
+#include "core/caching_client.hpp"
+#include "outcome_bits.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::core {
@@ -20,9 +21,9 @@ SessionConfig base_config() {
   return cfg;
 }
 
-ConsistencyConfig consistency(ConsistencyPolicy p, double think = 0.5) {
-  ConsistencyConfig c;
-  c.policy = p;
+CachingConfig consistency(ConsistencyPolicy p, double think = 0.5) {
+  CachingConfig c;
+  c.consistency = p;
   c.think_time_s = think;
   return c;
 }
@@ -62,7 +63,7 @@ TEST(VersionedServer, FreshnessSemantics) {
 
 TEST(ConsistentClient, NoneNeverProbesButGoesStale) {
   VersionedServer srv(data());
-  ConsistentCachingClient c(srv, base_config(), consistency(ConsistencyPolicy::None));
+  CachingClient c(srv, base_config(), consistency(ConsistencyPolicy::None));
   const rtree::RangeQuery q{{{0.20, 0.26}, {0.23, 0.29}}};
   c.run_query(q);
   srv.apply_update(q.window.center());
@@ -74,7 +75,7 @@ TEST(ConsistentClient, NoneNeverProbesButGoesStale) {
 
 TEST(ConsistentClient, RevalidateProbesAndNeverServesStale) {
   VersionedServer srv(data());
-  ConsistentCachingClient c(srv, base_config(), consistency(ConsistencyPolicy::Revalidate));
+  CachingClient c(srv, base_config(), consistency(ConsistencyPolicy::Revalidate));
   const rtree::RangeQuery q{{{0.20, 0.26}, {0.23, 0.29}}};
   c.run_query(q);                        // fetch
   c.run_query(q);                        // probe -> fresh -> local
@@ -89,9 +90,9 @@ TEST(ConsistentClient, RevalidateProbesAndNeverServesStale) {
 
 TEST(ConsistentClient, TtlProbesOnlyAfterExpiry) {
   VersionedServer srv(data());
-  ConsistencyConfig cc = consistency(ConsistencyPolicy::Ttl);
+  CachingConfig cc = consistency(ConsistencyPolicy::Ttl);
   cc.ttl_queries = 3;
-  ConsistentCachingClient c(srv, base_config(), cc);
+  CachingClient c(srv, base_config(), cc);
   const rtree::RangeQuery q{{{0.20, 0.26}, {0.23, 0.29}}};
   for (int i = 0; i < 4; ++i) c.run_query(q);  // fetch + 3 trusted locals
   EXPECT_EQ(c.revalidations(), 0u);
@@ -101,7 +102,7 @@ TEST(ConsistentClient, TtlProbesOnlyAfterExpiry) {
 
 TEST(ConsistentClient, LeasePushInvalidatesAndRefetches) {
   VersionedServer srv(data());
-  ConsistentCachingClient c(srv, base_config(), consistency(ConsistencyPolicy::Lease));
+  CachingClient c(srv, base_config(), consistency(ConsistencyPolicy::Lease));
   const rtree::RangeQuery q{{{0.20, 0.26}, {0.23, 0.29}}};
   c.run_query(q);
   EXPECT_EQ(c.fetches(), 1u);
@@ -126,8 +127,8 @@ TEST(ConsistentClient, LeasePaysIdleDuringThinkTime) {
   VersionedServer srv(data());
   const rtree::RangeQuery q{{{0.20, 0.26}, {0.23, 0.29}}};
 
-  ConsistentCachingClient lease(srv, base_config(), consistency(ConsistencyPolicy::Lease, 2.0));
-  ConsistentCachingClient none(srv, base_config(), consistency(ConsistencyPolicy::None, 2.0));
+  CachingClient lease(srv, base_config(), consistency(ConsistencyPolicy::Lease, 2.0));
+  CachingClient none(srv, base_config(), consistency(ConsistencyPolicy::None, 2.0));
   for (int i = 0; i < 6; ++i) {
     lease.run_query(q);
     none.run_query(q);
@@ -142,9 +143,8 @@ TEST(ConsistentClient, LeasePaysIdleDuringThinkTime) {
 TEST(ConsistentClient, RevalidateCostsTransmitEnergyPerQuery) {
   VersionedServer srv(data());
   const rtree::RangeQuery q{{{0.20, 0.26}, {0.23, 0.29}}};
-  ConsistentCachingClient reval(srv, base_config(),
-                                consistency(ConsistencyPolicy::Revalidate, 0.0));
-  ConsistentCachingClient none(srv, base_config(), consistency(ConsistencyPolicy::None, 0.0));
+  CachingClient reval(srv, base_config(), consistency(ConsistencyPolicy::Revalidate, 0.0));
+  CachingClient none(srv, base_config(), consistency(ConsistencyPolicy::None, 0.0));
   // The initial shipment (and its ACK traffic) is common to both; the
   // probes' transmitter cost is the delta over the local-query phase.
   reval.run_query(q);
@@ -162,6 +162,31 @@ TEST(ConsistentClient, RevalidateCostsTransmitEnergyPerQuery) {
   EXPECT_EQ(reval.revalidations(), 10u);
 }
 
+TEST(ConsistentClient, NoneWithoutThinkTimeMatchesTheDatasetClient) {
+  // Under None with no think time nothing is booked off the exchanges,
+  // so updates move only the staleness count: the client over a
+  // versioned server must equal the one over the bare dataset bit for
+  // bit.
+  VersionedServer srv(data());
+  CachingClient versioned(srv, base_config(), consistency(ConsistencyPolicy::None, 0.0));
+  CachingClient bare(data(), base_config(), CachingConfig{});
+  std::mt19937_64 rng(17);
+  for (const auto& b : workload::make_proximity_workload(data(), 3, 8, 0.003, 13, 1e-5, 1e-4)) {
+    for (const auto& q : b.queries) {
+      if (rng() % 3 == 0) {
+        srv.apply_update(q.window.center());
+        versioned.notify_update(q.window.center());
+      }
+      versioned.run_query(q);
+      bare.run_query(q);
+    }
+  }
+  EXPECT_GT(versioned.stale_answers(), 0u);
+  EXPECT_EQ(versioned.fetches(), bare.fetches());
+  EXPECT_EQ(versioned.local_hits(), bare.local_hits());
+  test_support::expect_bit_identical(versioned.outcome(), bare.outcome());
+}
+
 TEST(ConsistentClient, AllPoliciesAgreeOnAnswers) {
   // Geometry never mutates in this model, so all policies must return
   // identical answer counts over any interleaving of updates.
@@ -175,7 +200,7 @@ TEST(ConsistentClient, AllPoliciesAgreeOnAnswers) {
        {ConsistencyPolicy::None, ConsistencyPolicy::Revalidate, ConsistencyPolicy::Ttl,
         ConsistencyPolicy::Lease}) {
     VersionedServer srv(data());
-    ConsistentCachingClient c(srv, base_config(), consistency(p, 0.1));
+    CachingClient c(srv, base_config(), consistency(p, 0.1));
     std::mt19937_64 local_rng = rng;
     for (const auto& b : bursts) {
       for (const auto& q : b.queries) {

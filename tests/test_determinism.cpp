@@ -12,14 +12,17 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/broadcast_client.hpp"
 #include "core/caching_client.hpp"
 #include "core/fleet.hpp"
 #include "core/session.hpp"
 #include "figure_common.hpp"
+#include "net/broadcast.hpp"
 #include "net/fault.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
@@ -237,6 +240,124 @@ TEST(Determinism, TableOneSessionsMatchGoldenValues) {
   EXPECT_EQ(tlb_misses, 933u);
   EXPECT_EQ(answers, 14334u);
   EXPECT_EQ(h.value(), 0x7204f5759fd9f63eull);
+}
+
+/// Golden values for the region clients, which answer queries from a
+/// client-resident store and index: the insufficient-memory
+/// CachingClient and the BroadcastClient.  Their own suites check
+/// relations between runs and the pins above compare a binary with
+/// itself, so only this test holds their simulated numbers.  It covers
+/// both ship policies at two budgets; a bursty-loss, traced client
+/// (statuses, trace and metrics bytes); every consistency policy with
+/// and without think time under an update stream with pushes; and
+/// broadcast traffic at three hot shares with the bucket cache on and
+/// off.  The value was recorded while a separate client class still ran
+/// the consistency policies.
+TEST(Determinism, RegionClientsMatchGoldenValues) {
+  using core::ConsistencyPolicy;
+  std::vector<rtree::RangeQuery> queries;
+  for (const auto& b : workload::make_proximity_workload(data(), 3, 8, 0.003, /*seed=*/29)) {
+    queries.insert(queries.end(), b.queries.begin(), b.queries.end());
+  }
+  const core::SessionConfig cfg = config(core::Scheme::FullyAtClient);
+  perf::ConfigHasher h;
+
+  for (const rtree::ShipPolicy policy :
+       {rtree::ShipPolicy::WindowExpand, rtree::ShipPolicy::HilbertRange}) {
+    for (const std::uint64_t budget : {std::uint64_t{512} << 10, std::uint64_t{2} << 20}) {
+      core::CachingClient c(data(), cfg, {budget, policy});
+      for (const rtree::RangeQuery& q : queries) c.run_query(q);
+      mix_outcome(h, c.outcome());
+      h.mix(std::uint64_t{c.fetches()}).mix(std::uint64_t{c.local_hits()}).mix(c.cached_bytes());
+    }
+  }
+
+  // Bursty loss and two retries: a shipment fetch fails often enough
+  // that queries fail before the first install and degrade after it.
+  core::SessionConfig lossy = cfg;
+  lossy.fault = net::bursty_loss_config(0.05, /*seed=*/5);
+  lossy.retry.retry_budget = 2;
+  core::CachingClient faulted(data(), lossy, {512u << 10, rtree::ShipPolicy::HilbertRange});
+  obs::TraceSink trace;
+  faulted.set_trace(&trace);
+  for (const rtree::RangeQuery& q : queries) {
+    h.mix(static_cast<std::uint64_t>(faulted.run_query(q)));
+  }
+  const stats::Outcome lossy_outcome = faulted.outcome();
+  mix_outcome(h, lossy_outcome);
+  std::ostringstream tj;
+  obs::write_chrome_trace(tj, trace);
+  std::ostringstream mc;
+  obs::write_metrics(mc, trace, &lossy_outcome);
+  h.mix(tj.str()).mix(mc.str());
+  EXPECT_GT(lossy_outcome.queries_degraded, 0u);
+  EXPECT_GT(lossy_outcome.queries_failed, 0u);
+
+  std::uint32_t revalidations = 0, stale = 0, pushes = 0;
+  for (const ConsistencyPolicy p : {ConsistencyPolicy::None, ConsistencyPolicy::Revalidate,
+                                    ConsistencyPolicy::Ttl, ConsistencyPolicy::Lease}) {
+    for (const double think : {0.0, 2.0}) {
+      core::VersionedServer server(data());
+      core::CachingConfig cc;
+      cc.consistency = p;
+      cc.ttl_queries = 3;
+      cc.think_time_s = think;
+      core::CachingClient c(server, cfg, cc);
+      std::mt19937_64 rng(31);
+      for (const rtree::RangeQuery& q : queries) {
+        // One slot in four updates a street under the coming window.
+        if (rng() % 4 == 0) {
+          server.apply_update(q.window.center());
+          c.notify_update(q.window.center());
+        }
+        c.run_query(q);
+      }
+      mix_outcome(h, c.outcome());
+      h.mix(std::uint64_t{c.fetches()})
+          .mix(std::uint64_t{c.local_hits()})
+          .mix(std::uint64_t{c.revalidations()})
+          .mix(std::uint64_t{c.stale_answers()})
+          .mix(std::uint64_t{c.invalidation_pushes()});
+      revalidations += c.revalidations();
+      stale += c.stale_answers();
+      pushes += c.invalidation_pushes();
+    }
+  }
+  EXPECT_GT(revalidations, 0u);
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(pushes, 0u);
+
+  const std::vector<geom::Rect> hot = {{{0.18, 0.25}, {0.26, 0.33}}, {{0.54, 0.22}, {0.60, 0.28}}};
+  const net::BroadcastProgram program =
+      net::make_broadcast_program(data().tree, data().store, hot, 2.0, 4);
+  std::uint32_t tunes = 0, bucket_hits = 0, fallbacks = 0;
+  for (const double hot_share : {0.0, 0.5, 1.0}) {
+    for (const bool cache_bucket : {true, false}) {
+      core::BroadcastClient c(data(), cfg, program, {cache_bucket});
+      for (int i = 0; i < 24; ++i) {
+        const double dx = 0.004 * (i % 5);
+        if (i % 4 < hot_share * 4) {
+          const geom::Point lo = hot[(i / 3) % 2].lo;
+          c.run_query({geom::Rect{{lo.x + 0.005 + dx, lo.y + 0.01},
+                                  {lo.x + 0.025 + dx, lo.y + 0.03}}});
+        } else {
+          c.run_query({geom::Rect{{0.70 + dx, 0.70}, {0.73 + dx, 0.74}}});
+        }
+      }
+      mix_outcome(h, c.outcome());
+      h.mix(std::uint64_t{c.broadcast_tunes()})
+          .mix(std::uint64_t{c.cache_hits()})
+          .mix(std::uint64_t{c.fallbacks()});
+      tunes += c.broadcast_tunes();
+      bucket_hits += c.cache_hits();
+      fallbacks += c.fallbacks();
+    }
+  }
+  EXPECT_GT(tunes, 0u);
+  EXPECT_GT(bucket_hits, 0u);
+  EXPECT_GT(fallbacks, 0u);
+
+  EXPECT_EQ(h.value(), 0x6295efe9b7c1cf42ull) << "0x" << std::hex << h.value() << "ull";
 }
 
 /// ExecHooks that fold every event, in order, into an FNV-1a digest;

@@ -320,6 +320,53 @@ TEST(FaultedCachingClient, StaleCacheDegradesWhenTheLinkDies) {
   EXPECT_EQ(o.queries_failed, 0u);
 }
 
+TEST(FaultedCachingClient, UndeliveredRevalidationCountsAsStale) {
+  // The link dies just after the first fetch.  Under Revalidate the
+  // next query inside the cached region sends a version probe that
+  // never arrives; an unanswered probe vouches for nothing, so the
+  // client refetches, that fetch dies too, and the query degrades to
+  // the cached shipment.
+  workload::QueryGen gen(data(), 11);
+  const rtree::RangeQuery q = gen.range_query();
+  const core::VersionedServer server(data());
+  core::CachingConfig caching;
+  caching.consistency = core::ConsistencyPolicy::Revalidate;
+  core::CachingClient probe(server, base_config(), caching);
+  probe.run_query(q);
+  const double fetch_wall_s = probe.outcome().wall_seconds;
+
+  core::SessionConfig cfg = base_config();
+  cfg.fault.outages.push_back({fetch_wall_s + 1e-6, 1e18});
+  cfg.retry.retry_budget = 2;
+  core::CachingClient c(server, cfg, caching);
+  EXPECT_EQ(c.run_query(q), core::QueryStatus::Ok);
+  const stats::Outcome fetched = c.outcome();
+  EXPECT_EQ(c.run_query(q), core::QueryStatus::DegradedLocal);
+  EXPECT_EQ(c.revalidations(), 1u);
+  EXPECT_EQ(c.local_hits(), 0u);
+  EXPECT_EQ(c.fetches(), 1u);
+  const stats::Outcome o = c.outcome();
+  EXPECT_EQ(o.round_trips, fetched.round_trips);  // neither the probe nor the refetch delivered
+  EXPECT_EQ(o.queries_degraded, 1u);
+  EXPECT_EQ(o.answers, 2 * fetched.answers);
+}
+
+TEST(FaultedCachingClient, RejectsThinkTimeAndLeaseOnALossyLink) {
+  // Think time and lease pushes are booked off the exchanges, where the
+  // fault model neither keeps time nor loses frames.
+  core::SessionConfig cfg = base_config();
+  cfg.fault = dead_link();
+  core::CachingConfig think;
+  think.think_time_s = 1.0;
+  EXPECT_THROW(core::CachingClient(data(), cfg, think), std::invalid_argument);
+  core::CachingConfig lease;
+  lease.consistency = core::ConsistencyPolicy::Lease;
+  EXPECT_THROW(core::CachingClient(data(), cfg, lease), std::invalid_argument);
+  core::CachingConfig revalidate;
+  revalidate.consistency = core::ConsistencyPolicy::Revalidate;
+  EXPECT_NO_THROW(core::CachingClient(data(), cfg, revalidate));
+}
+
 // --- fleet ----------------------------------------------------------------
 
 TEST(FaultedFleet, KeepsServingThroughADeadLink) {

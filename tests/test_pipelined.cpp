@@ -36,6 +36,14 @@ TEST(Pipelined, RejectsNN) {
   EXPECT_THROW(pipe.run_query(rtree::KnnQuery{{0.5, 0.5}, 3}), std::invalid_argument);
 }
 
+TEST(Pipelined, RejectsALossyLink) {
+  // The pipelined schedule models no link faults; a lossy config must
+  // not run as if it were clean.
+  SessionConfig cfg = base_config();
+  cfg.fault = net::bursty_loss_config(0.1, /*seed=*/3);
+  EXPECT_THROW(PipelinedSession(data(), cfg, {}), std::invalid_argument);
+}
+
 TEST(Pipelined, EmptyFilterStaysLocal) {
   PipelinedSession pipe(data(), base_config(), {});
   // A window far outside every segment: no candidates, no traffic.

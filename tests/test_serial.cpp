@@ -139,6 +139,44 @@ TEST(ShipmentResponse, CarriesNodeImages) {
   EXPECT_DOUBLE_EQ(back.safe_rect.hi.x, 0.9);
 }
 
+TEST(SizeFor, MatchesTheEncodedBytesFromCountsAlone) {
+  // The simulator prices messages with size_for and never builds them,
+  // so each must equal the byte count its message actually encodes to.
+  const rtree::Query route{rtree::RouteQuery{{{0.1, 0.1}, {0.4, 0.2}, {0.6, 0.7}}}};
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{1000}}) {
+    SCOPED_TRACE(n);
+    for (const rtree::Query& q :
+         {rtree::Query{rtree::RangeQuery{{{0.1, 0.2}, {0.3, 0.4}}}}, route}) {
+      QueryRequest req;
+      req.query = q;
+      req.candidates.resize(n);
+      ByteWriter w;
+      req.encode(w);
+      EXPECT_EQ(QueryRequest::size_for(q, n), w.size());
+      EXPECT_EQ(req.encoded_size(), w.size());
+    }
+
+    IdListResponse ids;
+    ids.ids.resize(n);
+    ByteWriter w_ids;
+    ids.encode(w_ids);
+    EXPECT_EQ(IdListResponse::size_for(n), w_ids.size());
+
+    RecordResponse rec;
+    rec.records.resize(n);
+    ByteWriter w_rec;
+    rec.encode(w_rec);
+    EXPECT_EQ(RecordResponse::size_for(n), w_rec.size());
+
+    ShipmentResponse ship;
+    ship.node_count = n / 10 + 1;
+    ship.records.resize(n);
+    ByteWriter w_ship;
+    ship.encode(w_ship);
+    EXPECT_EQ(ShipmentResponse::size_for(n, ship.node_count), w_ship.size());
+  }
+}
+
 class SerialSizeProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(SerialSizeProperty, EncodedSizeAlwaysMatchesBytes) {

@@ -1,8 +1,9 @@
 // mosaiq — command-line driver for the work-partitioning simulator.
 //
-//   mosaiq dataset --name pa                     dataset/index statistics
+//   mosaiq dataset --dataset pa                  dataset/index statistics
 //   mosaiq run --query range --scheme server ... one configuration, one row
 //   mosaiq sweep --query range ...               scheme x bandwidth table
+//   mosaiq fleet --clients 1,4,16 ...            multi-client fleet table
 //   mosaiq advise --bandwidth 4 ...              planner recommendations
 //
 // Every experiment the figure benches run can be reproduced (and varied)
@@ -20,7 +21,6 @@
 #include "core/adaptive_session.hpp"
 #include "core/fleet.hpp"
 #include "core/session.hpp"
-#include "model/analytic.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "stats/recorder.hpp"
