@@ -34,21 +34,16 @@ int main() {
       double best_e = std::numeric_limits<double>::infinity();
       double best_t = 0;
       for (const sim::OperatingPoint& opp : ladder) {
-        core::PlannerEnv env;
-        env.bandwidth_mbps = mbps;
-        env.client_mhz = opp.clock_mhz;
-        env.client_active_w = 0.07 * (opp.clock_mhz / 125.0) * opp.energy_scale();
-        const core::Planner planner(pa, env);
-        for (const core::Scheme s :
-             {core::Scheme::FullyAtClient, core::Scheme::FullyAtServer,
-              core::Scheme::FilterClientRefineServer,
-              core::Scheme::FilterServerRefineClient}) {
-          const core::SchemePrediction pred = planner.predict(s, q);
+        core::SessionConfig cfg;
+        cfg.channel.bandwidth_mbps = mbps;
+        cfg.client = sim::client_at_opp(opp);
+        const core::Planner planner(pa, cfg);
+        for (const core::SchemePrediction& pred : planner.options(q, rtree::null_hooks())) {
           if (pred.latency_s * 1000.0 > deadline_ms) continue;
           if (pred.energy_j < best_e) {
             best_e = pred.energy_j;
             best_t = pred.latency_s;
-            best_scheme = s;
+            best_scheme = pred.scheme;
             best_opp = opp;
           }
         }

@@ -4,7 +4,7 @@ namespace mosaiq::core {
 
 AdaptiveSession::AdaptiveSession(const workload::Dataset& dataset, const SessionConfig& base,
                                  Objective objective)
-    : session_(dataset, base), planner_(dataset, planner_env(base)), objective_(objective) {}
+    : session_(dataset, base), planner_(dataset, base), objective_(objective) {}
 
 QueryStatus AdaptiveSession::run_query(const rtree::Query& q) {
   const Scheme s = planner_.choose(q, objective_, session_.client_hooks());

@@ -225,7 +225,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // so disabled fleets never pay the density-grid construction.
   std::optional<BatteryScheduler> sched;
   if (fleet.scheduler.enabled) {
-    sched.emplace(dataset, planner_env(base), fleet.scheduler, fleet.clients);
+    sched.emplace(dataset, base, fleet.scheduler, fleet.clients);
   }
 
   // Zipf-skewed hotspots: with fleet.hotspots > 0 each client inverts a

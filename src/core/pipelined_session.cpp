@@ -136,9 +136,7 @@ void PipelinedSession::run_query(const rtree::Query& q) {
 
   // --- accounting -------------------------------------------------------
   const double busy_this_query = client_.busy_seconds() - busy_f0;
-  const double cpu_gap = std::max(0.0, wall - busy_this_query);
-  client_.wait_seconds(cpu_gap, cfg_.wait_policy);
-  cpu_gap_seconds_ += cpu_gap;
+  client_.wait_seconds(std::max(0.0, wall - busy_this_query), cfg_.wait_policy);
 
   double tx_total = 0;
   double rx_total = 0;
@@ -150,12 +148,13 @@ void PipelinedSession::run_query(const rtree::Query& q) {
   nic_.spend(net::NicState::Receive, rx_total);
   // Active window: from first transmission to last reception, the NIC
   // must stay reachable (IDLE in every radio gap — this is the energy
-  // price of pipelining).  Before that it sleeps under the filter.
+  // price of pipelining).  Before that it sleeps under the filter, less
+  // the sleep exit already booked at IDLE before the first frame.
   const double active_window = last_rx_end - first_tx_start;
   nic_.spend(net::NicState::Idle, std::max(0.0, active_window - air_time));
-  nic_.spend(net::NicState::Sleep, std::max(0.0, wall - active_window));
+  nic_.spend(net::NicState::Sleep,
+             std::max(0.0, wall - active_window - cfg_.nic_power.sleep_exit_s));
 
-  cycles_.processor += static_cast<std::uint64_t>(std::llround(busy_this_query * client_hz));
   cycles_.nic_tx += static_cast<std::uint64_t>(std::llround(tx_total * client_hz));
   cycles_.nic_rx += static_cast<std::uint64_t>(std::llround(rx_total * client_hz));
   const double wait = std::max(0.0, wall - busy_this_query - tx_total - rx_total);
@@ -169,7 +168,7 @@ void PipelinedSession::run_query(const rtree::Query& q) {
 stats::Outcome PipelinedSession::outcome() {
   stats::Outcome o;
   o.cycles = cycles_;
-  // Processor cycles tracked per query already include everything.
+  o.cycles.processor = client_.busy_cycles();
   o.energy.processor_j = client_.energy().total_j();
   o.energy.nic_tx_j = nic_.joules_in(net::NicState::Transmit);
   o.energy.nic_rx_j = nic_.joules_in(net::NicState::Receive);

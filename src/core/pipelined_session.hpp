@@ -60,7 +60,6 @@ class PipelinedSession {
   std::uint32_t round_trips_ = 0;
   std::uint32_t batches_ = 0;
   double wall_seconds_ = 0;
-  double cpu_gap_seconds_ = 0;  ///< client CPU idle gaps inside queries
 };
 
 }  // namespace mosaiq::core

@@ -1,26 +1,15 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
-#include "core/session.hpp"
+#include "core/query_exec.hpp"
 #include "net/nic.hpp"
 #include "net/protocol.hpp"
 #include "rtree/costs.hpp"
 #include "rtree/segment_store.hpp"
 
 namespace mosaiq::core {
-
-PlannerEnv planner_env(const SessionConfig& cfg) {
-  PlannerEnv env;
-  env.data_at_client = cfg.placement.data_at_client;
-  env.bandwidth_mbps = cfg.channel.bandwidth_mbps;
-  env.distance_m = cfg.channel.distance_m;
-  env.client_mhz = cfg.client.clock_mhz;
-  env.server_mhz = cfg.server.clock_mhz;
-  return env;
-}
 
 namespace {
 
@@ -42,6 +31,10 @@ constexpr double kServerSpeedup = 5.0;
 constexpr double kAnswerRatio = 0.9;
 /// Request payload bytes (QueryRequest framing).
 constexpr double kRequestBytes = 60;
+/// Client processor+memory active power at the Table-3 nominal point
+/// (125 MHz, 3.3 V); it scales with the clock and the DVFS energy
+/// scale (f/f0)·(V/V0)².
+constexpr double kNominalActiveW = 0.07;
 
 }  // namespace
 
@@ -78,18 +71,20 @@ double DensityGrid::estimate_records(const geom::Rect& window) const {
   return est;
 }
 
-Planner::Planner(const workload::Dataset& dataset, const PlannerEnv& env)
-    : data_(dataset), env_(env), grid_(dataset) {}
+Planner::Planner(const workload::Dataset& dataset, const SessionConfig& cfg)
+    : cfg_(cfg), grid_(dataset) {}
 
 SchemePrediction Planner::predict(Scheme scheme, const rtree::Query& q) const {
   SchemePrediction p;
   p.scheme = scheme;
 
-  const double client_hz = env_.client_mhz * 1e6;
-  const double server_hz = env_.server_mhz * 1e6;
-  const double bits_per_s = env_.bandwidth_mbps * 1e6;
-  net::NicPowerModel nic;
-  const double p_tx = nic.tx_mw(env_.distance_m) * 1e-3;
+  const double client_hz = cfg_.client.clock_hz();
+  const double server_hz = cfg_.server.clock_hz();
+  const double bits_per_s = cfg_.channel.bandwidth_mbps * 1e6;
+  const double active_w =
+      kNominalActiveW * (cfg_.client.clock_mhz / 125.0) * cfg_.client.energy_scale;
+  const net::NicPowerModel& nic = cfg_.nic_power;
+  const double p_tx = nic.tx_mw(cfg_.channel.distance_m) * 1e-3;
   const double p_rx = nic.rx_mw * 1e-3;
   const double p_idle = nic.idle_mw * 1e-3;
   const double p_sleep = nic.sleep_mw * 1e-3;
@@ -129,10 +124,10 @@ SchemePrediction Planner::predict(Scheme scheme, const rtree::Query& q) const {
   // --- per-scheme compute/message structure ----------------------------
   const double filter_cycles = kFilterBaseCycles + kFilterCyclesPerCand * cand;
   const double refine_cycles = refine_per_cand * cand;
-  const double answer_bytes =
-      4 + p.est_answers * (env_.data_at_client ? 4.0 : double{rtree::kRecordBytes});
-  const double cand_bytes =
-      4 + cand * (env_.data_at_client ? 4.0 : double{rtree::kRecordBytes});
+  const double record_bytes =
+      cfg_.placement.data_at_client ? 4.0 : double{rtree::kRecordBytes};
+  const double answer_bytes = 4 + p.est_answers * record_bytes;
+  const double cand_bytes = 4 + cand * record_bytes;
 
   double client_cycles = 0;
   double server_cycles = 0;  // in server clocks
@@ -171,15 +166,16 @@ SchemePrediction Planner::predict(Scheme scheme, const rtree::Query& q) const {
   if (!remote) {
     const double t = client_cycles / client_hz;
     p.latency_s = t;
-    p.energy_j = (env_.client_active_w + p_sleep) * t;
+    p.energy_j = (active_w + p_sleep) * t;
     return p;
   }
 
-  const net::WireCost tx = net::wire_cost(static_cast<std::uint64_t>(tx_payload));
-  const net::WireCost rx = net::wire_cost(static_cast<std::uint64_t>(rx_payload));
-  const double ctrl = static_cast<double>(net::control_bytes(0));
-  const double acks_up = static_cast<double>(net::control_bytes(rx.packets)) - ctrl;
-  const double acks_down = static_cast<double>(net::control_bytes(tx.packets)) - ctrl;
+  const net::ProtocolConfig& proto = cfg_.protocol;
+  const net::WireCost tx = net::wire_cost(static_cast<std::uint64_t>(tx_payload), proto);
+  const net::WireCost rx = net::wire_cost(static_cast<std::uint64_t>(rx_payload), proto);
+  const double ctrl = static_cast<double>(net::control_bytes(0, proto));
+  const double acks_up = static_cast<double>(net::control_bytes(rx.packets, proto)) - ctrl;
+  const double acks_down = static_cast<double>(net::control_bytes(tx.packets, proto)) - ctrl;
   const double t_tx = (static_cast<double>(tx.wire_bytes) + ctrl + acks_up) * 8 / bits_per_s;
   const double t_rx = (static_cast<double>(rx.wire_bytes) + ctrl + acks_down) * 8 / bits_per_s;
   const double proto_cycles = 2 * kProtocolBaseCycles +
@@ -188,38 +184,46 @@ SchemePrediction Planner::predict(Scheme scheme, const rtree::Query& q) const {
   const double t_wait = server_cycles / server_hz;
 
   p.latency_s = t_client + t_tx + t_rx + t_wait;
-  p.energy_j = (env_.client_active_w + p_sleep) * t_client + p_tx * t_tx + p_rx * t_rx +
-               p_idle * t_wait;
+  p.energy_j = (active_w + p_sleep) * t_client + p_tx * t_tx + p_rx * t_rx + p_idle * t_wait;
   return p;
 }
 
-Scheme Planner::choose(const rtree::Query& q, Objective objective,
-                       rtree::ExecHooks& cpu) const {
+std::vector<SchemePrediction> Planner::options(const rtree::Query& q,
+                                               rtree::ExecHooks& cpu) const {
   // Estimation cost: the histogram probe touches the overlapped cells,
   // and each candidate scheme costs one model evaluation.
   cpu.instr(rtree::InstrMix{400, 60, 140});
   cpu.read(rtree::simaddr::kScratchBase + (24u << 20), 256);
 
-  const auto kind = rtree::kind_of(q);
-  const bool hybrid_ok = kind == rtree::QueryKind::Point ||
-                         kind == rtree::QueryKind::Range ||
-                         kind == rtree::QueryKind::Route;
-
-  Scheme best = Scheme::FullyAtClient;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const Scheme s : {Scheme::FullyAtClient, Scheme::FullyAtServer,
-                         Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient}) {
-    if (!hybrid_ok && s != Scheme::FullyAtClient && s != Scheme::FullyAtServer) continue;
-    if (s == Scheme::FilterServerRefineClient && !env_.data_at_client) continue;
+  const bool split = is_filterable(q);
+  const bool local = cfg_.placement.data_at_client;
+  const std::pair<Scheme, bool> offered[] = {
+      {Scheme::FullyAtClient, local},
+      {Scheme::FullyAtServer, true},
+      {Scheme::FilterClientRefineServer, split},
+      {Scheme::FilterServerRefineClient, split && local},
+  };
+  std::vector<SchemePrediction> out;
+  out.reserve(4);
+  for (const auto& [s, ok] : offered) {
+    if (!ok) continue;
     cpu.instr(rtree::InstrMix{300, 50, 90});
-    const SchemePrediction pred = predict(s, q);
-    const double cost = objective == Objective::Energy ? pred.energy_j : pred.latency_s;
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = s;
-    }
+    out.push_back(predict(s, q));
   }
-  return best;
+  return out;
+}
+
+Scheme Planner::choose(const rtree::Query& q, Objective objective,
+                       rtree::ExecHooks& cpu) const {
+  const std::vector<SchemePrediction> opts = options(q, cpu);
+  const auto cost = [objective](const SchemePrediction& p) {
+    return objective == Objective::Energy ? p.energy_j : p.latency_s;
+  };
+  return std::min_element(opts.begin(), opts.end(),
+                          [&](const SchemePrediction& a, const SchemePrediction& b) {
+                            return cost(a) < cost(b);
+                          })
+      ->scheme;
 }
 
 }  // namespace mosaiq::core

@@ -8,15 +8,17 @@
 // grid of record counts, ~4 KB, built once from the local index), turns
 // them into predicted message sizes and compute cycles per scheme using
 // the calibrated per-candidate costs of rtree/costs.hpp, evaluates the
-// Section 4.1 energy and latency expressions, and picks the argmin for
-// the configured objective.  The estimation work itself is charged to
-// the client CPU.
+// Section 4.1 energy and latency expressions for the SessionConfig it
+// plans for (its placement, channel, radio, protocol and clocks), and
+// picks the argmin for the configured objective.  The estimation work
+// itself is charged to the client CPU.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
-#include "core/scheme.hpp"
+#include "core/session.hpp"
 #include "rtree/query.hpp"
 #include "workload/dataset.hpp"
 
@@ -27,24 +29,6 @@ enum class Objective : std::uint8_t { Energy, Latency };
 inline const char* name_of(Objective o) {
   return o == Objective::Energy ? "energy" : "latency";
 }
-
-/// The slice of the session configuration the planner's cost model
-/// needs (kept separate from SessionConfig to avoid an include cycle).
-struct PlannerEnv {
-  bool data_at_client = true;
-  double bandwidth_mbps = 2.0;
-  double distance_m = 1000.0;
-  double client_mhz = 125.0;
-  double server_mhz = 1000.0;
-  /// Client processor+memory active power at this operating point (the
-  /// Table-3 nominal draws ~70 mW; DVFS scales it by (f/f0)·(V/V0)²).
-  double client_active_w = 0.07;
-};
-
-struct SessionConfig;
-
-/// The planner's slice of `cfg`: placement, channel and clocks.
-PlannerEnv planner_env(const SessionConfig& cfg);
 
 /// Coarse record-count histogram over the extent, used for selectivity
 /// estimation on the client.
@@ -79,20 +63,25 @@ struct SchemePrediction {
 
 class Planner {
  public:
-  Planner(const workload::Dataset& dataset, const PlannerEnv& env);
+  Planner(const workload::Dataset& dataset, const SessionConfig& cfg);
 
-  /// Predicts cost for one scheme (data placement taken from env).
+  /// Predicts cost for one scheme under the config's data placement.
   SchemePrediction predict(Scheme scheme, const rtree::Query& q) const;
 
-  /// Picks the best applicable scheme for the objective, charging the
-  /// estimation work (histogram probe + model evaluation) to `cpu`.
+  /// The schemes able to run `q`, in Table-1 order, with their
+  /// predictions; charges the estimation work (histogram probe + one
+  /// model evaluation per scheme) to `cpu`.  The hybrids need a
+  /// filter/refinement split, and fully-at-client and
+  /// filter@server/refine@client need the data at the client.
+  std::vector<SchemePrediction> options(const rtree::Query& q, rtree::ExecHooks& cpu) const;
+
+  /// The first of `options` with the least cost for the objective.
   Scheme choose(const rtree::Query& q, Objective objective, rtree::ExecHooks& cpu) const;
 
   const DensityGrid& grid() const { return grid_; }
 
  private:
-  const workload::Dataset& data_;
-  PlannerEnv env_;
+  SessionConfig cfg_;
   DensityGrid grid_;
 };
 

@@ -5,9 +5,10 @@
 
 namespace mosaiq::core {
 
-BatteryScheduler::BatteryScheduler(const workload::Dataset& dataset, const PlannerEnv& env,
-                                   const SchedulerConfig& cfg, std::uint32_t clients)
-    : cfg_(cfg), env_(env), planner_(dataset, env), reports_(clients) {}
+BatteryScheduler::BatteryScheduler(const workload::Dataset& dataset,
+                                   const SessionConfig& session, const SchedulerConfig& cfg,
+                                   std::uint32_t clients)
+    : cfg_(cfg), planner_(dataset, session), reports_(clients) {}
 
 void BatteryScheduler::admit(std::uint32_t k, bool plugged, double charge_fraction,
                              double capacity_j) {
@@ -57,40 +58,16 @@ double BatteryScheduler::client_work_bias(std::uint32_t k) const {
 
 Scheme BatteryScheduler::choose(std::uint32_t k, const rtree::Query& q,
                                 rtree::ExecHooks& server_cpu) const {
-  // Same estimation work the client-side Planner charges itself, but
-  // billed to the server: the histogram probe plus one model
-  // evaluation per candidate scheme.
-  server_cpu.instr(rtree::InstrMix{400, 60, 140});
-  server_cpu.read(rtree::simaddr::kScratchBase + (24u << 20), 256);
-
-  const auto kind = rtree::kind_of(q);
-  const bool hybrid_ok = kind == rtree::QueryKind::Point || kind == rtree::QueryKind::Range ||
-                         kind == rtree::QueryKind::Route;
+  // The planner's options, with their estimation work billed to the
+  // server.  The scalarization needs the per-axis maxima for
+  // normalization before any scheme can be scored.
+  const std::vector<SchemePrediction> preds = planner_.options(q, server_cpu);
   const double bias = client_work_bias(k);
-
-  // Gather applicable predictions first: the scalarization needs the
-  // per-axis maxima for normalization before any scheme can be scored.
-  struct Scored {
-    Scheme scheme;
-    SchemePrediction pred;
-  };
-  std::vector<Scored> preds;
-  preds.reserve(4);
   double max_latency_s = 0.0;
   double max_energy_j = 0.0;
-  for (const Scheme s : {Scheme::FullyAtClient, Scheme::FullyAtServer,
-                         Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient}) {
-    if (!hybrid_ok && s != Scheme::FullyAtClient && s != Scheme::FullyAtServer) continue;
-    if (s == Scheme::FilterServerRefineClient && !env_.data_at_client) continue;
-    // A client without a local copy of the data cannot run the query
-    // locally at all (the Planner leaves this to its caller; the fleet
-    // would deadlock on it, so the scheduler gates it here).
-    if (s == Scheme::FullyAtClient && !env_.data_at_client) continue;
-    server_cpu.instr(rtree::InstrMix{300, 50, 90});
-    const SchemePrediction pred = planner_.predict(s, q);
-    max_latency_s = std::max(max_latency_s, pred.latency_s);
-    max_energy_j = std::max(max_energy_j, pred.energy_j);
-    preds.push_back({s, pred});
+  for (const SchemePrediction& p : preds) {
+    max_latency_s = std::max(max_latency_s, p.latency_s);
+    max_energy_j = std::max(max_energy_j, p.energy_j);
   }
 
   const double latency_norm = std::max(max_latency_s, 1e-300);
@@ -98,23 +75,19 @@ Scheme BatteryScheduler::choose(std::uint32_t k, const rtree::Query& q,
   Scheme best = Scheme::FullyAtClient;
   double best_cost = std::numeric_limits<double>::infinity();
   double best_energy_j = std::numeric_limits<double>::infinity();
-  for (const Scored& c : preds) {
-    const double cost = bias * (c.pred.latency_s / latency_norm) +
-                        (1.0 - bias) * (c.pred.energy_j / energy_norm);
+  for (const SchemePrediction& p : preds) {
+    const double cost =
+        bias * (p.latency_s / latency_norm) + (1.0 - bias) * (p.energy_j / energy_norm);
     // Ties break toward lower client energy: this is what upgrades the
     // exchange argument from "related" to "monotone" at bias values
     // where two schemes score exactly equal.
-    if (cost < best_cost || (cost == best_cost && c.pred.energy_j < best_energy_j)) {
+    if (cost < best_cost || (cost == best_cost && p.energy_j < best_energy_j)) {
       best_cost = cost;
-      best = c.scheme;
-      best_energy_j = c.pred.energy_j;
+      best = p.scheme;
+      best_energy_j = p.energy_j;
     }
   }
   return best;
-}
-
-double BatteryScheduler::predicted_client_energy_j(Scheme scheme, const rtree::Query& q) const {
-  return planner_.predict(scheme, q).energy_j;
 }
 
 }  // namespace mosaiq::core

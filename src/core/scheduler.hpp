@@ -22,9 +22,9 @@
 //     horizon) — plugged clients pin the bias at 1;
 //   * scheme choice minimizes bias-weighted normalized latency plus
 //     (1-bias)-weighted normalized CLIENT energy over the planner's
-//     predictions.  Bias 1 reproduces the latency objective; bias 0
-//     picks the scheme that spends the least client energy regardless
-//     of how long the server takes.
+//     options (Planner::options).  Bias 1 reproduces the latency
+//     objective; bias 0 picks the scheme that spends the least client
+//     energy regardless of how long the server takes.
 //
 // The scalarization makes the headline guarantee provable: over a
 // fixed finite set of (latency, energy) predictions, the argmin's
@@ -79,7 +79,7 @@ struct ClientBatteryReport {
 /// Server-side battery-aware scheme picker for a fleet of `clients`.
 class BatteryScheduler {
  public:
-  BatteryScheduler(const workload::Dataset& dataset, const PlannerEnv& env,
+  BatteryScheduler(const workload::Dataset& dataset, const SessionConfig& session,
                    const SchedulerConfig& cfg, std::uint32_t clients);
 
   /// Registers client `k`'s battery at admission time.
@@ -106,16 +106,11 @@ class BatteryScheduler {
   /// — this is the point of the exercise: planning moves off-device.
   Scheme choose(std::uint32_t k, const rtree::Query& q, rtree::ExecHooks& server_cpu) const;
 
-  /// Predicted CLIENT-side energy of `scheme` on `q` (exposed for the
-  /// monotonicity test and the survival bench).
-  double predicted_client_energy_j(Scheme scheme, const rtree::Query& q) const;
-
   const Planner& planner() const { return planner_; }
   const SchedulerConfig& config() const { return cfg_; }
 
  private:
   SchedulerConfig cfg_;
-  PlannerEnv env_;
   Planner planner_;
   std::vector<ClientBatteryReport> reports_;
 };

@@ -54,9 +54,4 @@ inline const char* name_of(QueryStatus s) {
 /// True when the scheme needs the wireless link at all.
 inline bool uses_server(Scheme s) { return s != Scheme::FullyAtClient; }
 
-/// True when the scheme requires the index replicated at the client.
-inline bool needs_client_index(Scheme s) {
-  return s == Scheme::FullyAtClient || s == Scheme::FilterClientRefineServer;
-}
-
 }  // namespace mosaiq::core

@@ -14,6 +14,30 @@ geom::Rect expanded(const geom::Rect& w, double m) {
   return {{w.lo.x - m, w.lo.y - m}, {w.hi.x + m, w.hi.y + m}};
 }
 
+/// The widest margin for which `ok` holds, given that it holds at 0:
+/// doubling from half the window's larger side brackets it (up to
+/// `max_margin`, which is returned if it holds), then `steps` bisection
+/// steps narrow it.
+template <typename Ok>
+double widest_margin(const geom::Rect& window, double max_margin, int steps, Ok&& ok) {
+  double lo = 0.0;
+  double hi = std::max(window.width(), window.height()) * 0.5 + 1e-9;
+  while (hi < max_margin && ok(hi)) {
+    lo = hi;
+    hi *= 2.0;
+  }
+  if (hi >= max_margin && ok(max_margin)) return max_margin;
+  for (int i = 0; i < steps; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (ok(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 /// Number of segments referenced by a set of leaves.
 std::uint64_t leaf_item_count(const PackedRTree& t, const std::vector<std::uint32_t>& leaves) {
   std::uint64_t n = 0;
@@ -61,8 +85,6 @@ Shipment ship_window_expand(const PackedRTree& master, const SegmentStore& store
   };
 
   std::vector<std::uint32_t> leaves;
-  double lo = 0.0;
-
   if (!fits(0.0, leaves)) {
     // Budget cannot even hold the query window's own candidate leaves;
     // degrade to exactly those leaves with the window as safe rect.
@@ -74,29 +96,13 @@ Shipment ship_window_expand(const PackedRTree& master, const SegmentStore& store
     return s;
   }
 
-  // Exponential growth to bracket the budget, then bisection.
-  double hi = std::max(query_window.width(), query_window.height()) * 0.5 + 1e-9;
   std::vector<std::uint32_t> scratch;
-  while (hi < max_margin && fits(hi, scratch)) {
-    lo = hi;
-    hi *= 2.0;
-  }
-  if (hi >= max_margin && fits(max_margin, scratch)) {
-    lo = max_margin;  // whole dataset fits
-  } else {
-    for (int i = 0; i < 20; ++i) {
-      const double mid = 0.5 * (lo + hi);
-      if (fits(mid, scratch)) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-  }
+  const double margin = widest_margin(query_window, max_margin, 20,
+                                      [&](double m) { return fits(m, scratch); });
 
   Shipment s;
-  s.safe_rect = expanded(query_window, lo);
-  fits(lo, leaves);  // recompute the final leaf set
+  s.safe_rect = expanded(query_window, margin);
+  fits(margin, leaves);  // recompute the final leaf set
   gather(master, store, leaves, hooks, s);
   s.node_count = packed_node_count(s.segments.size());
   charge_subindex_build(s.segments.size(), hooks);
@@ -177,33 +183,15 @@ Shipment ship_hilbert_range(const PackedRTree& master, const SegmentStore& store
   // the window leaves were shipped unconditionally.)
   const geom::Rect extent = master.extent();
   const double max_margin = std::max(extent.width(), extent.height());
-  auto safe = [&](double m) {
+  const double margin = widest_margin(query_window, max_margin, 16, [&](double m) {
     std::vector<std::uint32_t> probe;
     master.leaves_intersecting(expanded(query_window, m), hooks, probe);
     return std::all_of(probe.begin(), probe.end(),
                        [&](std::uint32_t li) { return shipped[li] != 0; });
-  };
-  double lo_m = 0.0;
-  double hi_m = std::max(query_window.width(), query_window.height()) * 0.5 + 1e-9;
-  while (hi_m < max_margin && safe(hi_m)) {
-    lo_m = hi_m;
-    hi_m *= 2.0;
-  }
-  if (hi_m >= max_margin && safe(max_margin)) {
-    lo_m = max_margin;
-  } else {
-    for (int i = 0; i < 16; ++i) {
-      const double mid = 0.5 * (lo_m + hi_m);
-      if (safe(mid)) {
-        lo_m = mid;
-      } else {
-        hi_m = mid;
-      }
-    }
-  }
+  });
 
   Shipment s;
-  s.safe_rect = expanded(query_window, lo_m);
+  s.safe_rect = expanded(query_window, margin);
   std::vector<std::uint32_t> ordered;
   for (std::uint32_t li = 0; li < n_leaves; ++li)
     if (shipped[li]) ordered.push_back(li);

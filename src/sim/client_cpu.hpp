@@ -97,7 +97,6 @@ class ClientCpu final : public rtree::ExecHooks {
   const CacheStats& icache_stats() const { return icache_stats_; }
   const CacheStats& dcache_stats() const { return dcache_.stats(); }
   const ClientConfig& config() const { return constants_->cfg; }
-  const EnergyTable& energy_table() const { return constants_->table; }
 
   /// Average active-power estimate (W) over busy cycles so far; feeds the
   /// analytical model of Section 4.1.

@@ -17,9 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "core/adaptive_session.hpp"
 #include "core/broadcast_client.hpp"
 #include "core/caching_client.hpp"
 #include "core/fleet.hpp"
+#include "core/scheduler.hpp"
 #include "core/session.hpp"
 #include "figure_common.hpp"
 #include "net/broadcast.hpp"
@@ -35,6 +37,7 @@
 #include "rtree/pmr_quadtree.hpp"
 #include "rtree/rstar_tree.hpp"
 #include "rtree/shipment.hpp"
+#include "sim/dvfs.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq {
@@ -358,6 +361,101 @@ TEST(Determinism, RegionClientsMatchGoldenValues) {
   EXPECT_GT(fallbacks, 0u);
 
   EXPECT_EQ(h.value(), 0x6295efe9b7c1cf42ull) << "0x" << std::hex << h.value() << "ull";
+}
+
+/// Mixes one planner prediction into `h`.
+void mix_prediction(perf::ConfigHasher& h, const core::SchemePrediction& p) {
+  h.mix(static_cast<std::uint64_t>(p.scheme))
+      .mix(p.energy_j)
+      .mix(p.latency_s)
+      .mix(p.est_candidates)
+      .mix(p.est_answers);
+}
+
+/// Golden values for the Section 4.1 planner and the battery-aware
+/// scheduler that scores its options.  Their own suites check only
+/// which scheme wins, so only this test holds the predictions, the
+/// estimation work charged for them and an adaptive batch.  It covers
+/// every scheme on every query kind at two bandwidths, two distances
+/// and both placements; each point of the DVFS ladder; both objectives
+/// with the data at the client; and scheduler choices over a charge
+/// sweep with both placements.  The value was recorded while the
+/// planner still read a private copy of six SessionConfig fields.
+TEST(Determinism, PlannerMatchesGoldenValues) {
+  using core::Scheme;
+  const Scheme schemes[] = {Scheme::FullyAtClient, Scheme::FullyAtServer,
+                            Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient};
+  workload::QueryGen gen(data(), /*seed=*/37);
+  std::vector<rtree::Query> queries;
+  for (const rtree::QueryKind kind : {rtree::QueryKind::Point, rtree::QueryKind::Range,
+                                      rtree::QueryKind::NN, rtree::QueryKind::Knn,
+                                      rtree::QueryKind::Route}) {
+    for (const rtree::Query& q : gen.batch(kind, 4)) queries.push_back(q);
+  }
+  perf::ConfigHasher h;
+  auto mix_charge = [&h](const rtree::CountingHooks& c) {
+    h.mix(c.mix().alu).mix(c.mix().mul).mix(c.mix().branch).mix(c.bytes_read());
+  };
+
+  for (const double mbps : {2.0, 11.0}) {
+    for (const double distance_m : {100.0, 1000.0}) {
+      for (const bool at_client : {true, false}) {
+        core::SessionConfig cfg = config(Scheme::FullyAtClient);
+        cfg.channel = {mbps, distance_m};
+        cfg.placement.data_at_client = at_client;
+        const core::Planner planner(data(), cfg);
+        for (const rtree::Query& q : queries) {
+          for (const Scheme s : schemes) mix_prediction(h, planner.predict(s, q));
+        }
+        if (!at_client) continue;
+        rtree::CountingHooks charge;
+        for (const rtree::Query& q : queries) {
+          for (const core::Objective o : {core::Objective::Energy, core::Objective::Latency}) {
+            h.mix(static_cast<std::uint64_t>(planner.choose(q, o, charge)));
+          }
+        }
+        mix_charge(charge);
+      }
+    }
+  }
+
+  for (const sim::OperatingPoint& opp : sim::default_opp_ladder()) {
+    core::SessionConfig cfg = config(Scheme::FullyAtClient);
+    cfg.client = sim::client_at_opp(opp);
+    const core::Planner planner(data(), cfg);
+    for (const rtree::Query& q : queries) {
+      for (const Scheme s : schemes) mix_prediction(h, planner.predict(s, q));
+    }
+  }
+
+  core::SchedulerConfig sc;
+  sc.enabled = true;
+  for (const bool at_client : {true, false}) {
+    core::SessionConfig cfg = config(Scheme::FullyAtServer);
+    cfg.placement.data_at_client = at_client;
+    core::BatteryScheduler sched(data(), cfg, sc, 2);
+    sched.admit(0, false, 1.0, 10.0);
+    sched.admit(1, false, 1.0, 10.0);
+    sched.observe_draw(1, 0.5, 1.0);  // dead in 20 s at full charge
+    rtree::CountingHooks charge;
+    for (int step = 20; step >= 0; --step) {
+      for (std::uint32_t k = 0; k < 2; ++k) {
+        sched.report_charge(k, step / 20.0);
+        h.mix(sched.client_work_bias(k));
+        for (const rtree::Query& q : queries) {
+          h.mix(static_cast<std::uint64_t>(sched.choose(k, q, charge)));
+        }
+      }
+    }
+    mix_charge(charge);
+  }
+
+  core::AdaptiveSession adaptive(data(), config(Scheme::FullyAtClient), core::Objective::Energy);
+  for (const rtree::Query& q : queries) adaptive.run_query(q);
+  mix_outcome(h, adaptive.outcome());
+  for (const std::uint32_t c : adaptive.choices()) h.mix(std::uint64_t{c});
+
+  EXPECT_EQ(h.value(), 0x66259307fba591baull) << "0x" << std::hex << h.value() << "ull";
 }
 
 /// ExecHooks that fold every event, in order, into an FNV-1a digest;

@@ -54,6 +54,32 @@ TEST(Pipelined, EmptyFilterStaysLocal) {
   EXPECT_GT(o.energy.nic_sleep_j, 0.0);
 }
 
+TEST(Pipelined, NicStatesSpanTheWallTime) {
+  // The NIC is in exactly one state at every instant of every query:
+  // the sleep exit before the first frame is IDLE, not also SLEEP.
+  workload::QueryGen gen(data(), 6);
+  PipelinedSession pipe(data(), base_config(), {256});
+  for (const auto& q : gen.batch(rtree::QueryKind::Range, 10)) pipe.run_query(q);
+  pipe.run_query(rtree::RangeQuery{{{-10, -10}, {-9, -9}}});
+  const stats::Outcome o = pipe.outcome();
+  const net::NicPowerModel nic;
+  const double seconds = o.energy.nic_tx_j / (nic.tx_mw(1000.0) * 1e-3) +
+                         o.energy.nic_rx_j / (nic.rx_mw * 1e-3) +
+                         o.energy.nic_idle_j / (nic.idle_mw * 1e-3) +
+                         o.energy.nic_sleep_j / (nic.sleep_mw * 1e-3);
+  EXPECT_NEAR(seconds, o.wall_seconds, o.wall_seconds * 1e-12);
+}
+
+TEST(Pipelined, ProcessorCyclesCountEveryQuery) {
+  // A query with no candidates still runs its filter on the client.
+  workload::QueryGen gen(data(), 7);
+  PipelinedSession pipe(data(), base_config(), {256});
+  pipe.run_query(rtree::RangeQuery{{{-10, -10}, {-9, -9}}});
+  EXPECT_GT(pipe.client_cpu().busy_cycles(), 0u);
+  for (const auto& q : gen.batch(rtree::QueryKind::Range, 3)) pipe.run_query(q);
+  EXPECT_EQ(pipe.outcome().cycles.processor, pipe.client_cpu().busy_cycles());
+}
+
 TEST(Pipelined, ImprovesLatencyOverBlocking) {
   // The point of w4 > 0: with filtering, radio, and server refinement
   // overlapped, the wall time beats the blocking scheme's.

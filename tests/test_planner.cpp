@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/adaptive_session.hpp"
 #include "workload/query_gen.hpp"
 
@@ -11,11 +14,11 @@ const workload::Dataset& data() {
   return d;
 }
 
-PlannerEnv env(double mbps, bool data_at_client = true) {
-  PlannerEnv e;
-  e.bandwidth_mbps = mbps;
-  e.data_at_client = data_at_client;
-  e.client_mhz = 125.0;
+SessionConfig env(double mbps, bool data_at_client = true) {
+  SessionConfig e;
+  e.channel.bandwidth_mbps = mbps;
+  e.placement.data_at_client = data_at_client;
+  e.client.clock_mhz = 125.0;
   return e;
 }
 
@@ -102,6 +105,48 @@ TEST(Planner, HybridsExcludedForNN) {
   const Scheme s = planner.choose(rtree::Query{rtree::NNQuery{{0.5, 0.5}}},
                                   Objective::Latency, sink);
   EXPECT_TRUE(s == Scheme::FullyAtClient || s == Scheme::FullyAtServer);
+}
+
+TEST(Planner, DataAtServerNeverPicksLocal) {
+  // Mirrors Scheduler.DataAtServerNeverPicksLocal: without the data the
+  // client can neither answer locally nor refine the server's
+  // candidates, however slow the channel.
+  rtree::NullHooks sink;
+  workload::QueryGen gen(data(), 11);
+  std::vector<rtree::Query> queries;
+  for (const rtree::QueryKind kind : {rtree::QueryKind::Point, rtree::QueryKind::Range,
+                                      rtree::QueryKind::NN, rtree::QueryKind::Knn,
+                                      rtree::QueryKind::Route}) {
+    for (const rtree::Query& q : gen.batch(kind, 4)) queries.push_back(q);
+  }
+  for (const double mbps : {0.2, 11.0}) {
+    const Planner planner(data(), env(mbps, /*data_at_client=*/false));
+    for (const rtree::Query& q : queries) {
+      for (const Objective o : {Objective::Energy, Objective::Latency}) {
+        const Scheme s = planner.choose(q, o, sink);
+        EXPECT_NE(s, Scheme::FullyAtClient) << mbps << " Mbps, " << name_of(o);
+        EXPECT_NE(s, Scheme::FilterServerRefineClient) << mbps << " Mbps, " << name_of(o);
+      }
+    }
+  }
+}
+
+TEST(Planner, LocalEnergyFollowsTheClientClock) {
+  // Figure 8: per-event processor energy does not depend on the clock,
+  // so a client four times faster spends about as much on a local query
+  // (less the NIC's sleep floor over the shorter run).  The planner's
+  // ratio between C/S = 1/2 and 1/8 must track the simulator's.
+  const rtree::Query q = rtree::RangeQuery{{{0.20, 0.26}, {0.26, 0.32}}};
+  auto energies = [&](double ratio) {
+    SessionConfig cfg = base_config(2.0);
+    cfg.client = sim::client_at_ratio(ratio);
+    const double predicted = Planner(data(), cfg).predict(Scheme::FullyAtClient, q).energy_j;
+    const double measured = Session::run_batch(data(), cfg, {&q, 1}).energy.total_j();
+    return std::pair{predicted, measured};
+  };
+  const auto [predicted_slow, measured_slow] = energies(1.0 / 8.0);
+  const auto [predicted_fast, measured_fast] = energies(1.0 / 2.0);
+  EXPECT_NEAR(predicted_fast / predicted_slow, measured_fast / measured_slow, 0.1);
 }
 
 TEST(AdaptiveSession, NeverMuchWorseThanBestStatic) {

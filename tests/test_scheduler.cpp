@@ -18,10 +18,10 @@ const workload::Dataset& data() {
   return d;
 }
 
-PlannerEnv env_default() {
-  PlannerEnv env;
-  env.bandwidth_mbps = 2.0;
-  env.client_mhz = 125.0;
+SessionConfig env_default() {
+  SessionConfig env;
+  env.channel.bandwidth_mbps = 2.0;
+  env.client.clock_mhz = 125.0;
   return env;
 }
 
@@ -70,7 +70,7 @@ TEST(Scheduler, LowerChargeNeverMoreClientWork) {
     for (int step = 20; step >= 0; --step) {
       s.report_charge(0, step / 20.0);
       const Scheme chosen = s.choose(0, q, hooks);
-      const double energy = s.predicted_client_energy_j(chosen, q);
+      const double energy = s.planner().predict(chosen, q).energy_j;
       EXPECT_LE(energy, prev_energy + 1e-15)
           << "charge " << step / 20.0 << " chose a MORE client-heavy scheme";
       prev_energy = energy;
@@ -123,8 +123,8 @@ TEST(Scheduler, ProjectedEarlyDeathShedsWork) {
 TEST(Scheduler, DataAtServerNeverPicksLocal) {
   SchedulerConfig cfg;
   cfg.enabled = true;
-  PlannerEnv env = env_default();
-  env.data_at_client = false;
+  SessionConfig env = env_default();
+  env.placement.data_at_client = false;
   BatteryScheduler s(data(), env, cfg, 1);
   s.admit(0, false, 0.01, 10.0);  // battery-protective as it gets
   rtree::NullHooks hooks;

@@ -444,12 +444,7 @@ int cmd_advise(int argc, const char* const* argv) {
   p.parse(argc, argv);
 
   const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
-  core::PlannerEnv env;
-  env.bandwidth_mbps = p.get_double("bandwidth");
-  env.distance_m = p.get_double("distance");
-  env.client_mhz = 1000.0 * p.get_double("ratio");
-  env.data_at_client = !p.get_flag("data-at-server");
-  const core::Planner planner(d, env);
+  const core::Planner planner(d, config_from(p));
 
   workload::QueryGen gen(d, static_cast<std::uint64_t>(p.get_int("seed")));
   stats::Table t({"query", "energy choice", "latency choice", "est candidates"});
