@@ -30,7 +30,7 @@ class BroadcastClient {
 
   void run_query(const rtree::RangeQuery& q);
 
-  stats::Outcome outcome();
+  stats::Outcome outcome() { return transport_.snapshot(); }
 
   std::uint32_t broadcast_tunes() const { return tunes_; }
   std::uint32_t cache_hits() const { return cache_hits_; }
@@ -42,17 +42,11 @@ class BroadcastClient {
   void fallback(const rtree::RangeQuery& q);
 
   const workload::Dataset& master_;
-  SessionConfig cfg_;
   const net::BroadcastProgram& program_;
   BroadcastClientConfig bcfg_;
+  Transport transport_;  ///< broadcast reception, the fallback path and the totals
+  CachedRegion bucket_;  ///< the last received bucket
 
-  sim::ClientCpu client_;
-  sim::ServerCpu server_;
-  Transport transport_;       ///< fallback path + sleep settlement + snapshot
-  OffExchangeLedger ledger_;  ///< broadcast reception
-  CachedRegion bucket_;       ///< the last received bucket
-
-  std::uint64_t answers_ = 0;
   std::uint32_t tunes_ = 0;
   std::uint32_t cache_hits_ = 0;
   std::uint32_t fallbacks_ = 0;

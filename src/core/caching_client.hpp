@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/cached_region.hpp"
 #include "core/session.hpp"
@@ -89,14 +88,14 @@ class CachingClient {
   /// server pushes an invalidation if it lands under the leased rect.
   void notify_update(const geom::Point& where);
 
-  stats::Outcome outcome();
+  stats::Outcome outcome() { return transport_.snapshot(); }
 
-  /// Attaches a phase-span/counter sink; queries are wrapped in
-  /// "cache-hit" (window inside the cached region) / "cache-fetch"
-  /// spans with matching counters.  Under Revalidate or Ttl a
-  /// "cache-hit" may still probe and refetch.  Think time and pushes
-  /// are booked outside the spans, so the trace reconciles with
-  /// outcome() only without them.
+  /// Attaches a phase-span/counter sink.  Each query is wrapped in a
+  /// span named by the path it took, "cache-hit" (answered from the
+  /// cache) or "cache-fetch" (a shipment was requested), with matching
+  /// counters; a version probe runs before the wrapper opens.  Think
+  /// time and pushes get "think" and "push-rx" phases, so the trace
+  /// reconciles with outcome().
   void set_trace(obs::TraceSink* trace) { transport_.set_trace(trace); }
 
   std::uint32_t local_hits() const { return local_hits_; }
@@ -104,7 +103,7 @@ class CachingClient {
   std::uint32_t revalidations() const { return revalidations_; }
   std::uint32_t stale_answers() const { return stale_answers_; }
   std::uint32_t invalidation_pushes() const { return pushes_; }
-  const sim::ClientCpu& client_cpu() const { return client_; }
+  const sim::ClientCpu& client_cpu() const { return transport_.client(); }
 
   /// Current cached coverage (empty before the first fetch).
   const geom::Rect& safe_rect() const { return region_.rect(); }
@@ -116,7 +115,6 @@ class CachingClient {
   /// How a query inside the cached region is served.
   enum class CacheUse : std::uint8_t { Unchecked, Fresh, Refetch };
 
-  void advance_think_time();
   CacheUse cache_use(const rtree::RangeQuery& q);
   void run_local(const rtree::RangeQuery& q);
   QueryStatus fetch_and_run(const rtree::RangeQuery& q);
@@ -127,27 +125,19 @@ class CachingClient {
 
   const workload::Dataset& master_;
   const VersionedServer* versions_ = nullptr;  ///< null when the data never changes
-  SessionConfig cfg_;
   CachingConfig caching_;
-  sim::ClientCpu client_;
-  sim::ServerCpu server_;
   Transport transport_;
-  OffExchangeLedger ledger_;  ///< think time + invalidation pushes
-  std::optional<net::LinkFaultModel> fault_;
 
   CachedRegion region_;
   bool invalidated_ = false;
   std::uint64_t snapshot_version_ = 0;
   std::uint32_t queries_since_fetch_ = 0;
 
-  std::uint64_t answers_ = 0;
   std::uint32_t local_hits_ = 0;
   std::uint32_t fetches_ = 0;
   std::uint32_t revalidations_ = 0;
   std::uint32_t stale_answers_ = 0;
   std::uint32_t pushes_ = 0;
-  std::uint32_t degraded_ = 0;
-  std::uint32_t failed_ = 0;
 };
 
 }  // namespace mosaiq::core

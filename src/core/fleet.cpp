@@ -592,12 +592,10 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
         const double start = std::max(ev.time, server_free);
         settle(ev.id, "server-queue", ev.time, start);
         if (trace != nullptr) trace->counter("server-queue-wait-s", start - ev.time);
-        const std::uint64_t s0 = server.cycles();
-        net::charge_protocol_rx(net::wire_cost(c.request_bytes, base.protocol), server);
-        c.response_bytes = steps_of(c, c.scheme).server_w2(server, c.answers);
-        net::charge_protocol_tx(net::wire_cost(c.response_bytes, base.protocol), server);
-        // mosaiq-lint: allow(unsigned-wrap) — cycles() is a cumulative counter
-        const double dt = static_cast<double>(server.cycles() - s0) / base.server.clock_hz();
+        const double dt = serve(
+            server, base.protocol, c.request_bytes,
+            [&](sim::ServerCpu& s) { return steps_of(c, c.scheme).server_w2(s, c.answers); },
+            c.response_bytes);
         const double end = start + dt;
         server_free = end;
         server_busy += dt;

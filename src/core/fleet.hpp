@@ -15,10 +15,11 @@
 // small state machine (think → compute+protocol → medium grant →
 // transmit → server grant → serve → medium grant → receive → unpack),
 // and the medium/server are FIFO resources granted in event-time order.
-// The stages run Session's Table-1 executor (core/query_exec.hpp) and
+// The stages run Session's Table-1 executor (core/query_exec.hpp),
 // price their medium legs with the Session transport's price_leg /
-// book_leg (core/transport.hpp), so one client with no think time and
-// no faults reproduces Session::run_batch, which the K=1 oracle in
+// book_leg and take the server's turn with its serve()
+// (core/transport.hpp), so one client with no think time and no faults
+// reproduces Session::run_batch, which the K=1 oracle in
 // tests/test_fleet.cpp pins.
 //
 // On top of the PR 4 link faults, the fleet models CLIENT faults: each
@@ -171,7 +172,7 @@ struct FleetOutcome {
 /// clients die mid-run; fleet.replication controls how much of their
 /// work the survivors can still answer.  Throws std::invalid_argument,
 /// as Session does, for a nearest-neighbor query kind under a hybrid
-/// scheme.
+/// scheme and for fully-at-client without the data at the client.
 FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& base,
                        const FleetConfig& fleet);
 

@@ -1,8 +1,8 @@
 #include "core/pipelined_session.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "core/query_exec.hpp"
 
@@ -10,13 +10,8 @@ namespace mosaiq::core {
 
 PipelinedSession::PipelinedSession(const workload::Dataset& dataset, const SessionConfig& base,
                                    const PipelineConfig& pipeline)
-    : data_(dataset),
-      cfg_(base),
-      pipe_(pipeline),
-      client_((validate_config(base), base.client)),
-      server_(base.server),
-      nic_(base.nic_power, base.channel.distance_m) {
-  if (cfg_.fault.enabled()) {
+    : data_(dataset), pipe_(pipeline), transport_(base) {
+  if (base.fault.enabled()) {
     throw std::invalid_argument("PipelinedSession: link faults are not modeled");
   }
 }
@@ -26,19 +21,19 @@ void PipelinedSession::run_query(const rtree::Query& q) {
     throw std::invalid_argument("pipelined execution requires a filter/refinement split");
   }
 
-  const double client_hz = cfg_.client.clock_hz();
-  const double bits_per_s = cfg_.channel.bandwidth_mbps * 1e6;
+  const SessionConfig& cfg = transport_.config();
+  sim::ClientCpu& client = transport_.client();
+  const double bits_per_s = cfg.channel.bandwidth_mbps * 1e6;
 
   // --- w1: filtering on the client, measured as one block -------------
-  const double busy_f0 = client_.busy_seconds();
+  const double busy_f0 = client.busy_seconds();
   std::vector<std::uint32_t> cand;
-  filter_query(data_, q, client_, cand);
-  const double filter_time = client_.busy_seconds() - busy_f0;
+  filter_query(data_, q, client, cand);
+  const double filter_time = client.busy_seconds() - busy_f0;
 
   if (cand.empty()) {
     // Nothing to refine: the query completes locally.
-    nic_.spend(net::NicState::Sleep, filter_time);
-    wall_seconds_ += filter_time;
+    transport_.settle_sleep();
     return;
   }
 
@@ -55,9 +50,10 @@ void PipelinedSession::run_query(const rtree::Query& q) {
     double srv = 0;     // server seconds (refine + its protocol work)
   };
   std::vector<Batch> batches(n_batches);
+  OverlappedTrip trip;
 
   // TCP control packets once per query; delayed ACKs per batch.
-  const std::uint64_t ctrl = net::control_bytes(0, cfg_.protocol);
+  const std::uint64_t ctrl = net::control_bytes(0, cfg.protocol);
   bool first = true;
 
   for (std::uint32_t b = 0; b < n_batches; ++b) {
@@ -66,56 +62,61 @@ void PipelinedSession::run_query(const rtree::Query& q) {
     const std::size_t hi = std::min(cand.size(), lo + pipe_.batch_size);
 
     std::vector<std::uint32_t> batch(cand.begin() + lo, cand.begin() + hi);
-    SchemeSteps steps(data_, q, Scheme::FilterClientRefineServer, cfg_.placement.data_at_client,
+    SchemeSteps steps(data_, q, Scheme::FilterClientRefineServer, cfg.placement.data_at_client,
                       batch);
 
-    const net::WireCost tx = net::wire_cost(steps.request_bytes(), cfg_.protocol);
-    const double busy0 = client_.busy_seconds();
-    net::charge_protocol_tx(tx, client_);
-    bt.ptx = client_.busy_seconds() - busy0;
+    const std::uint64_t request_bytes = steps.request_bytes();
+    const net::WireCost tx = net::wire_cost(request_bytes, cfg.protocol);
+    const double busy0 = client.busy_seconds();
+    net::charge_protocol_tx(tx, client);
+    bt.ptx = client.busy_seconds() - busy0;
 
-    const std::uint64_t s0 = server_.cycles();
-    net::charge_protocol_rx(tx, server_);
-    const net::WireCost rx = net::wire_cost(steps.server_w2(server_, answers_), cfg_.protocol);
-    net::charge_protocol_tx(rx, server_);
-    bt.srv = static_cast<double>(server_.cycles() - s0) / cfg_.server.clock_hz();
+    std::uint64_t response_bytes = 0;
+    bt.srv = serve(
+        transport_.server(), cfg.protocol, request_bytes,
+        [&](sim::ServerCpu& server) { return steps.server_w2(server, transport_.answers()); },
+        response_bytes);
+    const net::WireCost rx = net::wire_cost(response_bytes, cfg.protocol);
 
-    const double busy1 = client_.busy_seconds();
-    net::charge_protocol_rx(rx, client_);
-    bt.prx = client_.busy_seconds() - busy1;
+    const double busy1 = client.busy_seconds();
+    net::charge_protocol_rx(rx, client);
+    bt.prx = client.busy_seconds() - busy1;
 
-    const std::uint64_t acks_up = net::control_bytes(rx.packets, cfg_.protocol) - ctrl;
-    const std::uint64_t acks_down = net::control_bytes(tx.packets, cfg_.protocol) - ctrl;
+    const std::uint64_t acks_up = ack_share(net::control_bytes(rx.packets, cfg.protocol), ctrl);
+    const std::uint64_t acks_down = ack_share(net::control_bytes(tx.packets, cfg.protocol), ctrl);
     const std::uint64_t tx_bytes = tx.wire_bytes + acks_up + (first ? ctrl : 0);
     const std::uint64_t rx_bytes = rx.wire_bytes + acks_down + (first ? ctrl : 0);
     first = false;
     bt.tx = static_cast<double>(tx_bytes * 8) / bits_per_s;
     bt.rx = static_cast<double>(rx_bytes * 8) / bits_per_s;
-    bytes_tx_ += tx_bytes;
-    bytes_rx_ += rx_bytes;
+    trip.tx_s += bt.tx;
+    trip.rx_s += bt.rx;
+    trip.bytes_tx += tx_bytes;
+    trip.bytes_rx += rx_bytes;
   }
 
   // --- schedule the three resources ------------------------------------
   // Client CPU runs tasks FIFO: filter chunk b, protocol-tx b, and the
   // protocol-rx of each response when it has arrived.  The half-duplex
-  // radio serializes airtime; the server refines batches in order.
+  // radio serializes airtime, after waking from SLEEP for the first
+  // frame; the server refines batches in order.
   double t_cpu = 0;
   double t_radio = 0;
   double t_srv = 0;
   double first_tx_start = -1;
   double last_rx_end = 0;
-  double air_time = 0;
 
   std::vector<double> rx_done(n_batches, 0.0);
   for (std::uint32_t b = 0; b < n_batches; ++b) {
     const Batch& bt = batches[b];
     t_cpu += filter_chunk + bt.ptx;
 
-    const double tx_start = std::max(t_cpu, t_radio) + (b == 0 ? nic_.sleep_exit() : 0.0);
+    const double tx_start =
+        std::max(t_cpu, t_radio) + (b == 0 ? cfg.nic_power.sleep_exit_s : 0.0);
     if (first_tx_start < 0) first_tx_start = tx_start;
     const double tx_end = tx_start + bt.tx;
     t_radio = tx_end;
-    air_time += bt.tx;
+    trip.air_s += bt.tx;
 
     const double srv_start = std::max(tx_end, t_srv);
     const double srv_end = srv_start + bt.srv;
@@ -124,7 +125,7 @@ void PipelinedSession::run_query(const rtree::Query& q) {
     const double rx_start = std::max(srv_end, t_radio);
     const double rx_end = rx_start + bt.rx;
     t_radio = rx_end;
-    air_time += bt.rx;
+    trip.air_s += bt.rx;
     rx_done[b] = rx_end;
     last_rx_end = rx_end;
   }
@@ -132,56 +133,14 @@ void PipelinedSession::run_query(const rtree::Query& q) {
   for (std::uint32_t b = 0; b < n_batches; ++b) {
     t_cpu = std::max(t_cpu, rx_done[b]) + batches[b].prx;
   }
-  const double wall = std::max(t_cpu, last_rx_end);
+  trip.wall_s = std::max(t_cpu, last_rx_end);
 
-  // --- accounting -------------------------------------------------------
-  const double busy_this_query = client_.busy_seconds() - busy_f0;
-  client_.wait_seconds(std::max(0.0, wall - busy_this_query), cfg_.wait_policy);
-
-  double tx_total = 0;
-  double rx_total = 0;
-  for (const Batch& bt : batches) {
-    tx_total += bt.tx;
-    rx_total += bt.rx;
-  }
-  nic_.spend(net::NicState::Transmit, tx_total);
-  nic_.spend(net::NicState::Receive, rx_total);
   // Active window: from first transmission to last reception, the NIC
   // must stay reachable (IDLE in every radio gap — this is the energy
-  // price of pipelining).  Before that it sleeps under the filter, less
-  // the sleep exit already booked at IDLE before the first frame.
-  const double active_window = last_rx_end - first_tx_start;
-  nic_.spend(net::NicState::Idle, std::max(0.0, active_window - air_time));
-  nic_.spend(net::NicState::Sleep,
-             std::max(0.0, wall - active_window - cfg_.nic_power.sleep_exit_s));
-
-  cycles_.nic_tx += static_cast<std::uint64_t>(std::llround(tx_total * client_hz));
-  cycles_.nic_rx += static_cast<std::uint64_t>(std::llround(rx_total * client_hz));
-  const double wait = std::max(0.0, wall - busy_this_query - tx_total - rx_total);
-  cycles_.wait += static_cast<std::uint64_t>(std::llround(wait * client_hz));
-
-  wall_seconds_ += wall;
+  // price of pipelining).
+  trip.window_s = last_rx_end - first_tx_start;
+  transport_.book_overlapped(trip);
   batches_ += n_batches;
-  ++round_trips_;
-}
-
-stats::Outcome PipelinedSession::outcome() {
-  stats::Outcome o;
-  o.cycles = cycles_;
-  o.cycles.processor = client_.busy_cycles();
-  o.energy.processor_j = client_.energy().total_j();
-  o.energy.nic_tx_j = nic_.joules_in(net::NicState::Transmit);
-  o.energy.nic_rx_j = nic_.joules_in(net::NicState::Receive);
-  o.energy.nic_idle_j = nic_.joules_in(net::NicState::Idle);
-  o.energy.nic_sleep_j = nic_.joules_in(net::NicState::Sleep);
-  o.processor_detail = client_.energy();
-  o.server_cycles = server_.cycles();
-  o.bytes_tx = bytes_tx_;
-  o.bytes_rx = bytes_rx_;
-  o.round_trips = round_trips_;
-  o.answers = answers_;
-  o.wall_seconds = wall_seconds_;
-  return o;
 }
 
 }  // namespace mosaiq::core

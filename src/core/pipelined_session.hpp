@@ -38,28 +38,18 @@ class PipelinedSession {
   /// Throws std::invalid_argument for NN/kNN (nothing to pipeline).
   void run_query(const rtree::Query& q);
 
-  stats::Outcome outcome();
+  stats::Outcome outcome() { return transport_.snapshot(); }
 
   /// Total batches shipped so far.
   std::uint32_t batches() const { return batches_; }
 
-  const sim::ClientCpu& client_cpu() const { return client_; }
+  const sim::ClientCpu& client_cpu() const { return transport_.client(); }
 
  private:
   const workload::Dataset& data_;
-  SessionConfig cfg_;
   PipelineConfig pipe_;
-  sim::ClientCpu client_;
-  sim::ServerCpu server_;
-  net::Nic nic_;
-
-  stats::CycleBreakdown cycles_;
-  std::uint64_t answers_ = 0;
-  std::uint64_t bytes_tx_ = 0;
-  std::uint64_t bytes_rx_ = 0;
-  std::uint32_t round_trips_ = 0;
+  Transport transport_;
   std::uint32_t batches_ = 0;
-  double wall_seconds_ = 0;
 };
 
 }  // namespace mosaiq::core

@@ -1,7 +1,6 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/query_exec.hpp"
 #include "net/nic.hpp"
@@ -195,18 +194,17 @@ std::vector<SchemePrediction> Planner::options(const rtree::Query& q,
   cpu.instr(rtree::InstrMix{400, 60, 140});
   cpu.read(rtree::simaddr::kScratchBase + (24u << 20), 256);
 
-  const bool split = is_filterable(q);
   const bool local = cfg_.placement.data_at_client;
-  const std::pair<Scheme, bool> offered[] = {
-      {Scheme::FullyAtClient, local},
-      {Scheme::FullyAtServer, true},
-      {Scheme::FilterClientRefineServer, split},
-      {Scheme::FilterServerRefineClient, split && local},
-  };
   std::vector<SchemePrediction> out;
   out.reserve(4);
-  for (const auto& [s, ok] : offered) {
-    if (!ok) continue;
+  for (const Scheme s : {Scheme::FullyAtClient, Scheme::FullyAtServer,
+                         Scheme::FilterClientRefineServer, Scheme::FilterServerRefineClient}) {
+    // Without the data at the client the planner also leaves out
+    // filter@server/refine@client, which would ship the candidate records.
+    if (!scheme_runs(s, rtree::kind_of(q), local) ||
+        (s == Scheme::FilterServerRefineClient && !local)) {
+      continue;
+    }
     cpu.instr(rtree::InstrMix{300, 50, 90});
     out.push_back(predict(s, q));
   }

@@ -70,9 +70,9 @@ class Planner {
 
   /// The schemes able to run `q`, in Table-1 order, with their
   /// predictions; charges the estimation work (histogram probe + one
-  /// model evaluation per scheme) to `cpu`.  The hybrids need a
-  /// filter/refinement split, and fully-at-client and
-  /// filter@server/refine@client need the data at the client.
+  /// model evaluation per scheme) to `cpu`.  They are the schemes
+  /// scheme_runs() allows for the config's placement, less
+  /// filter@server/refine@client without the data at the client.
   std::vector<SchemePrediction> options(const rtree::Query& q, rtree::ExecHooks& cpu) const;
 
   /// The first of `options` with the least cost for the objective.

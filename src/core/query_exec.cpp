@@ -1,6 +1,7 @@
 #include "core/query_exec.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "geom/predicates.hpp"
 #include "rtree/costs.hpp"
@@ -64,10 +65,10 @@ void refine_received(const workload::Dataset& data, const rtree::Query& q,
 SchemeSteps::SchemeSteps(const workload::Dataset& data, const rtree::Query& q, Scheme scheme,
                          bool data_at_client, std::vector<std::uint32_t>& candidates)
     : data_(data), q_(q), scheme_(scheme), data_at_client_(data_at_client), cand_(candidates) {
-  if ((scheme == Scheme::FilterClientRefineServer || scheme == Scheme::FilterServerRefineClient) &&
-      !is_filterable(q)) {
-    throw std::invalid_argument(
-        "nearest-neighbor queries have no filtering/refinement split to partition");
+  if (!scheme_runs(scheme, rtree::kind_of(q), data_at_client)) {
+    throw std::invalid_argument(std::string(name_of(scheme)) + " cannot run a " +
+                                rtree::name_of(rtree::kind_of(q)) + " query with the data " +
+                                (data_at_client ? "at the client" : "only at the server"));
   }
 }
 

@@ -31,10 +31,24 @@ namespace mosaiq::core {
 
 /// True for query kinds with a filtering/refinement split (partitionable
 /// at the phase boundary): point, range, and route queries.
-inline bool is_filterable(const rtree::Query& q) {
-  const auto k = rtree::kind_of(q);
+inline bool is_filterable(rtree::QueryKind k) {
   return k == rtree::QueryKind::Point || k == rtree::QueryKind::Range ||
          k == rtree::QueryKind::Route;
+}
+inline bool is_filterable(const rtree::Query& q) { return is_filterable(rtree::kind_of(q)); }
+
+/// True when `scheme` can run a `kind` query with the data placed as
+/// given: the hybrids need a filtering/refinement split (the paper's
+/// nearest-neighbor search has none), and fully-at-client needs the
+/// data at the client.
+inline bool scheme_runs(Scheme scheme, rtree::QueryKind kind, bool data_at_client) {
+  switch (scheme) {
+    case Scheme::FullyAtClient: return data_at_client;
+    case Scheme::FullyAtServer: return true;
+    case Scheme::FilterClientRefineServer:
+    case Scheme::FilterServerRefineClient: return is_filterable(kind);
+  }
+  return false;
 }
 
 inline std::vector<geom::Segment> legs_of(const rtree::RouteQuery& rq) {
@@ -77,9 +91,8 @@ void refine_query(const workload::Dataset& data, const rtree::Query& q,
 /// object across a fleet client's stages) cross the link.
 class SchemeSteps {
  public:
-  /// Throws std::invalid_argument for a nearest-neighbor query under a
-  /// hybrid scheme: the paper's NN search has no filtering/refinement
-  /// split to partition at.
+  /// Throws std::invalid_argument when the scheme cannot run the query
+  /// with the data placed as given (scheme_runs).
   SchemeSteps(const workload::Dataset& data, const rtree::Query& q, Scheme scheme,
               bool data_at_client, std::vector<std::uint32_t>& candidates);
 

@@ -27,22 +27,15 @@ void validate_config(const SessionConfig& cfg) {
 }
 
 Session::Session(const workload::Dataset& dataset, const SessionConfig& cfg)
-    : data_(dataset),
-      cfg_(cfg),
-      client_((validate_config(cfg), cfg.client)),
-      server_(cfg.server),
-      transport_(cfg.channel, cfg.nic_power, cfg.protocol, cfg.wait_policy, client_, server_) {
-  if (cfg_.fault.enabled()) {
-    fault_.emplace(cfg_.fault);
-    transport_.set_fault(&*fault_, cfg_.retry);
-  }
-}
+    : data_(dataset), transport_(cfg) {}
 
-QueryStatus Session::run_query(const rtree::Query& q) { return run_query_as(q, cfg_.scheme); }
+QueryStatus Session::run_query(const rtree::Query& q) {
+  return run_query_as(q, transport_.config().scheme);
+}
 
 QueryStatus Session::run_query_as(const rtree::Query& q, Scheme scheme) {
   std::vector<std::uint32_t> cand;
-  SchemeSteps steps(data_, q, scheme, cfg_.placement.data_at_client, cand);
+  SchemeSteps steps(data_, q, scheme, transport_.config().placement.data_at_client, cand);
   // The wrapper opens without settling: compute pending from before the
   // query (the adaptive planner's estimate) settles inside it, exactly
   // when it would untraced.
@@ -51,14 +44,15 @@ QueryStatus Session::run_query_as(const rtree::Query& q, Scheme scheme) {
     trace->begin(std::string(name_of(scheme)) + " " + name_of(rtree::kind_of(q)),
                  transport_.wall_seconds());
   }
-  const std::uint64_t answers_before = answers_;
-  const std::uint64_t request_bytes = steps.client_w1(client_, answers_);
+  std::uint64_t& answers = transport_.answers();
+  const std::uint64_t answers_before = answers;
+  const std::uint64_t request_bytes = steps.client_w1(transport_.client(), answers);
   QueryStatus status = QueryStatus::Ok;
   if (uses_server(scheme)) {
     const ExchangeStatus st = transport_.exchange(
-        request_bytes, [&]() -> std::uint64_t { return steps.server_w2(server_, answers_); });
+        request_bytes, [&](sim::ServerCpu& server) { return steps.server_w2(server, answers); });
     if (st == ExchangeStatus::Delivered) {
-      steps.client_w3(client_, answers_);
+      steps.client_w3(transport_.client(), answers);
     } else {
       status = degrade(q, answers_before);
     }
@@ -71,29 +65,16 @@ QueryStatus Session::run_query_as(const rtree::Query& q, Scheme scheme) {
 QueryStatus Session::degrade(const rtree::Query& q, std::uint64_t answers_before) {
   // server_w2 may have counted answers before the response was lost;
   // the client never saw them.
-  answers_ = answers_before;
-  obs::TraceSink* trace = transport_.trace();
-  if (!cfg_.placement.data_at_client) {
-    ++failed_;
-    if (trace != nullptr) trace->counter("failed-queries", 1);
-    return QueryStatus::Failed;
+  transport_.answers() = answers_before;
+  if (!transport_.config().placement.data_at_client) {
+    return transport_.count(QueryStatus::Failed);
   }
   // Data replicated at the client (the paper's adequate-memory setup):
   // re-execute the whole query locally, paying client-CPU energy.
-  ++degraded_;
-  if (trace != nullptr) trace->counter("degraded-queries", 1);
   std::vector<std::uint32_t> cand;
-  SchemeSteps(data_, q, Scheme::FullyAtClient, cfg_.placement.data_at_client, cand)
-      .client_w1(client_, answers_);
-  return QueryStatus::DegradedLocal;
-}
-
-stats::Outcome Session::outcome() {
-  stats::Outcome o = transport_.snapshot();
-  o.answers = answers_;
-  o.queries_degraded = degraded_;
-  o.queries_failed = failed_;
-  return o;
+  SchemeSteps(data_, q, Scheme::FullyAtClient, /*data_at_client=*/true, cand)
+      .client_w1(transport_.client(), transport_.answers());
+  return transport_.count(QueryStatus::DegradedLocal);
 }
 
 stats::Outcome Session::run_batch(const workload::Dataset& dataset, const SessionConfig& cfg,

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "core/transport.hpp"
@@ -22,23 +21,6 @@
 
 namespace mosaiq::core {
 
-struct SessionConfig {
-  Scheme scheme = Scheme::FullyAtClient;
-  DataPlacement placement{};
-  net::Channel channel{};
-  net::NicPowerModel nic_power{};
-  net::ProtocolConfig protocol{};
-  sim::ClientConfig client{};
-  sim::ServerConfig server{};
-  sim::WaitPolicy wait_policy = sim::WaitPolicy::BlockLowPower;
-  net::FaultConfig fault{};  ///< link-fault injection; disabled by default
-  net::RetryConfig retry{};  ///< timeout/backoff/budget when fault.enabled()
-};
-
-/// Rejects non-physical configurations (zero bandwidth, inverted MTU,
-/// non-positive clocks) with std::invalid_argument.
-void validate_config(const SessionConfig& cfg);
-
 class Session {
  public:
   Session(const workload::Dataset& dataset, const SessionConfig& cfg);
@@ -46,7 +28,8 @@ class Session {
   /// Executes one query under the configured scheme, accumulating into
   /// the session totals.  Throws std::invalid_argument for a
   /// nearest-neighbor query under a hybrid scheme (the paper's NN
-  /// implementation has no filtering/refinement split to partition at).
+  /// implementation has no filtering/refinement split to partition at)
+  /// and for fully-at-client on a client that does not hold the data.
   /// On a fault-free link the status is always Ok; when the transport's
   /// retry budget runs out, a data-holding client re-executes the whole
   /// query locally (DegradedLocal), otherwise the query is Failed.
@@ -57,22 +40,22 @@ class Session {
   QueryStatus run_query_as(const rtree::Query& q, Scheme scheme);
 
   /// Snapshot of the accumulated totals.
-  stats::Outcome outcome();
+  stats::Outcome outcome() { return transport_.snapshot(); }
 
   /// Attaches a phase-span/counter sink (obs/trace.hpp); nullptr
   /// detaches.  Each run_query additionally wraps its phases in a
   /// "<scheme> <kind>" wrapper span.
   void set_trace(obs::TraceSink* trace) { transport_.set_trace(trace); }
 
-  const sim::ClientCpu& client_cpu() const { return client_; }
+  const sim::ClientCpu& client_cpu() const { return transport_.client(); }
 
   /// Client CPU as an instrumentation sink for work that logically runs
   /// on the client outside a query (e.g. the adaptive planner's
   /// estimation pass).
-  rtree::ExecHooks& client_hooks() { return client_; }
-  const sim::ServerCpu& server_cpu() const { return server_; }
+  rtree::ExecHooks& client_hooks() { return transport_.client(); }
+  const sim::ServerCpu& server_cpu() const { return transport_.server(); }
   const net::Nic& nic() const { return transport_.nic(); }
-  const SessionConfig& config() const { return cfg_; }
+  const SessionConfig& config() const { return transport_.config(); }
 
   /// Convenience: fresh session, run all queries, return totals.
   /// A non-null `trace` records the batch's phase spans.
@@ -88,14 +71,7 @@ class Session {
   QueryStatus degrade(const rtree::Query& q, std::uint64_t answers_before);
 
   const workload::Dataset& data_;
-  SessionConfig cfg_;
-  sim::ClientCpu client_;
-  sim::ServerCpu server_;
   Transport transport_;
-  std::optional<net::LinkFaultModel> fault_;
-  std::uint64_t answers_ = 0;
-  std::uint32_t degraded_ = 0;
-  std::uint32_t failed_ = 0;
 };
 
 }  // namespace mosaiq::core

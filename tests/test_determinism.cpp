@@ -21,6 +21,7 @@
 #include "core/broadcast_client.hpp"
 #include "core/caching_client.hpp"
 #include "core/fleet.hpp"
+#include "core/pipelined_session.hpp"
 #include "core/scheduler.hpp"
 #include "core/session.hpp"
 #include "figure_common.hpp"
@@ -361,6 +362,45 @@ TEST(Determinism, RegionClientsMatchGoldenValues) {
   EXPECT_GT(fallbacks, 0u);
 
   EXPECT_EQ(h.value(), 0x6295efe9b7c1cf42ull) << "0x" << std::hex << h.value() << "ull";
+}
+
+/// Golden values for the pipelined session (w4 > 0), whose own suite
+/// only compares it with the blocking scheme: point, range and route
+/// queries at 2 and 11 Mbps, both placements and two batch sizes, plus
+/// one query that finds no candidates.  The value was recorded while
+/// the session still kept a radio and counters of its own.
+TEST(Determinism, PipelinedSessionMatchesGoldenValues) {
+  perf::ConfigHasher h;
+  std::uint64_t batches = 0;
+  for (const rtree::QueryKind kind :
+       {rtree::QueryKind::Point, rtree::QueryKind::Range, rtree::QueryKind::Route}) {
+    workload::QueryGen gen(data(), /*seed=*/41);
+    const auto queries = gen.batch(kind, 10);
+    for (const double mbps : {2.0, 11.0}) {
+      for (const bool data_at_client : {true, false}) {
+        for (const std::uint32_t batch_size : {4u, 128u}) {
+          core::SessionConfig cfg = config(core::Scheme::FilterClientRefineServer);
+          cfg.channel.bandwidth_mbps = mbps;
+          cfg.placement.data_at_client = data_at_client;
+          core::PipelinedSession pipe(data(), cfg, {batch_size});
+          for (const rtree::Query& q : queries) pipe.run_query(q);
+          mix_outcome(h, pipe.outcome());
+          h.mix(std::uint64_t{pipe.batches()});
+          batches += pipe.batches();
+        }
+      }
+    }
+  }
+  // A window outside the extent: nothing to refine, the query stays local.
+  core::PipelinedSession empty(data(), config(core::Scheme::FilterClientRefineServer), {});
+  empty.run_query(rtree::RangeQuery{{{-10, -10}, {-9, -9}}});
+  const stats::Outcome o = empty.outcome();
+  mix_outcome(h, o);
+  EXPECT_EQ(o.bytes_tx, 0u);
+  EXPECT_GT(o.cycles.processor, 0u);
+  EXPECT_GT(batches, 0u);
+
+  EXPECT_EQ(h.value(), 0xe72dec67c1b954adull) << "0x" << std::hex << h.value() << "ull";
 }
 
 /// Mixes one planner prediction into `h`.

@@ -64,6 +64,7 @@ TEST(Fleet, SingleClientMatchesSession) {
             s == Scheme::FilterClientRefineServer || s == Scheme::FilterServerRefineClient;
         if (nn && hybrid) continue;
         for (const bool data_at_client : {true, false}) {
+          if (s == Scheme::FullyAtClient && !data_at_client) continue;  // needs the data
           SessionConfig cfg = base_config(s, mbps);
           cfg.placement.data_at_client = data_at_client;
           FleetConfig f = fleet_of(1, 20);
@@ -85,6 +86,14 @@ TEST(Fleet, SingleClientMatchesSession) {
       }
     }
   }
+}
+
+TEST(Fleet, FullyAtClientNeedsTheData) {
+  // The fleet runs Session's executor, so a client without the data
+  // cannot run fully-at-client there either.
+  SessionConfig cfg = base_config(Scheme::FullyAtClient);
+  cfg.placement.data_at_client = false;
+  EXPECT_THROW(run_fleet(data(), cfg, fleet_of(2, 3)), std::invalid_argument);
 }
 
 TEST(Fleet, NearestNeighborQueriesRejectHybridSchemes) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/adaptive_session.hpp"
 #include "core/caching_client.hpp"
@@ -317,6 +319,7 @@ TEST(ObsConservation, TracingDoesNotChangeTheNumbers) {
             continue;
           }
           for (const bool at_client : {true, false}) {
+            if (s == core::Scheme::FullyAtClient && !at_client) continue;  // needs the data
             core::SessionConfig cfg = config(s, at_client);
             cfg.channel.bandwidth_mbps = mbps;
             if (lossy) cfg.fault = net::bursty_loss_config(0.1, /*seed=*/5);
@@ -369,6 +372,89 @@ TEST(ObsConservation, CachingClientReconciles) {
   EXPECT_DOUBLE_EQ(trace.counters().at("cache-local-hits"),
                    static_cast<double>(cc.local_hits()));
   EXPECT_GT(cc.local_hits(), 0u);  // tight cluster: the cache must hit
+}
+
+/// A traced consistency client over an update stream: 12 range queries
+/// in three clusters, an update under one window in four, reported to
+/// the client (a push under Lease) before its query.
+struct ConsistencyRun {
+  TraceSink trace;
+  stats::Outcome outcome;
+  std::uint32_t queries = 0;
+  std::uint32_t local_hits = 0;
+  std::uint32_t fetches = 0;
+  std::uint32_t pushes = 0;
+};
+
+void run_consistency(core::ConsistencyPolicy policy, double think_s, ConsistencyRun& run) {
+  std::vector<rtree::RangeQuery> queries;
+  for (const auto& b : workload::make_proximity_workload(data(), 3, 3, 0.003, /*seed=*/29)) {
+    queries.insert(queries.end(), b.queries.begin(), b.queries.end());
+  }
+  core::VersionedServer server(data());
+  core::CachingConfig caching;
+  caching.consistency = policy;
+  caching.ttl_queries = 2;
+  caching.think_time_s = think_s;
+  core::CachingClient cc(server, config(core::Scheme::FullyAtClient), caching);
+  cc.set_trace(&run.trace);
+  std::mt19937_64 rng(31);
+  for (const rtree::RangeQuery& q : queries) {
+    if (rng() % 4 == 0) {
+      server.apply_update(q.window.center());
+      cc.notify_update(q.window.center());
+    }
+    cc.run_query(q);
+  }
+  run.outcome = cc.outcome();
+  run.queries = static_cast<std::uint32_t>(queries.size());
+  run.local_hits = cc.local_hits();
+  run.fetches = cc.fetches();
+  run.pushes = cc.invalidation_pushes();
+}
+
+TEST(ObsConservation, CachingClientThinkTimeAndPushesReconcile) {
+  // Think time and lease pushes are client time off the exchanges; their
+  // phases must tile the trace like every other stretch of it.
+  for (const core::ConsistencyPolicy p :
+       {core::ConsistencyPolicy::None, core::ConsistencyPolicy::Revalidate,
+        core::ConsistencyPolicy::Ttl, core::ConsistencyPolicy::Lease}) {
+    SCOPED_TRACE(core::name_of(p));
+    ConsistencyRun run;
+    run_consistency(p, 2.0, run);
+    const Reconciliation r = reconcile(run.trace, run.outcome);
+    EXPECT_TRUE(r.ok()) << "energy err " << r.energy_error_j() << " J, wall err "
+                        << r.wall_error_s() << " s, cycles " << r.trace_cycles << " vs "
+                        << r.outcome_cycles;
+    EXPECT_EQ(r.trace_cycles, r.outcome_cycles);
+    const auto agg = aggregate_phases(run.trace);
+    const auto spans = [&](const char* phase) {
+      return agg.contains(phase) ? agg.at(phase).count : std::uint64_t{0};
+    };
+    EXPECT_EQ(spans("think"), std::uint64_t{run.queries});
+    EXPECT_EQ(spans("push-rx"), std::uint64_t{run.pushes});
+    if (p == core::ConsistencyPolicy::Lease) {
+      EXPECT_GT(run.pushes, 0u);
+    }
+  }
+}
+
+TEST(ObsCaching, CacheCountersFollowThePathTaken) {
+  // A covered window whose probe finds the cache stale refetches: it is
+  // traced as a fetch, not as a hit.
+  for (const core::ConsistencyPolicy p :
+       {core::ConsistencyPolicy::None, core::ConsistencyPolicy::Revalidate,
+        core::ConsistencyPolicy::Ttl, core::ConsistencyPolicy::Lease}) {
+    SCOPED_TRACE(core::name_of(p));
+    ConsistencyRun run;
+    run_consistency(p, 0.0, run);
+    const auto& counters = run.trace.counters();
+    const double hits = counters.contains("cache-local-hits") ? counters.at("cache-local-hits") : 0;
+    const double fetches = counters.contains("cache-fetches") ? counters.at("cache-fetches") : 0;
+    EXPECT_EQ(hits, static_cast<double>(run.local_hits));
+    EXPECT_EQ(fetches, static_cast<double>(run.fetches));
+    EXPECT_EQ(hits + fetches, static_cast<double>(run.queries));
+  }
 }
 
 TEST(ObsFleet, EmitsStageSpansAndQueueCounters) {

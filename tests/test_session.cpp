@@ -111,6 +111,32 @@ TEST(Session, NNOnlySupportsFullySchemes) {
   EXPECT_EQ(s3.outcome().answers, 1u);
 }
 
+TEST(Session, FullyAtClientNeedsTheData) {
+  // A client that does not hold the data cannot answer locally: the run
+  // is rejected, not priced as if the data were there.
+  SessionConfig cfg = base_config();
+  cfg.scheme = Scheme::FullyAtClient;
+  cfg.placement.data_at_client = false;
+  Session s(data(), cfg);
+  for (const rtree::QueryKind kind : {rtree::QueryKind::Point, rtree::QueryKind::Range,
+                                      rtree::QueryKind::NN, rtree::QueryKind::Route}) {
+    workload::QueryGen gen(data(), 3);
+    EXPECT_THROW(s.run_query(gen.batch(kind, 1).front()), std::invalid_argument)
+        << rtree::name_of(kind);
+  }
+  EXPECT_EQ(s.outcome().answers, 0u);
+}
+
+TEST(SchemeSteps, FullyAtClientNeedsTheData) {
+  workload::QueryGen gen(data(), 4);
+  const rtree::Query q = gen.batch(rtree::QueryKind::Range, 1).front();
+  std::vector<std::uint32_t> cand;
+  EXPECT_THROW(SchemeSteps(data(), q, Scheme::FullyAtClient, /*data_at_client=*/false, cand),
+               std::invalid_argument);
+  EXPECT_NO_THROW(SchemeSteps(data(), q, Scheme::FullyAtClient, /*data_at_client=*/true, cand));
+  EXPECT_NO_THROW(SchemeSteps(data(), q, Scheme::FullyAtServer, /*data_at_client=*/false, cand));
+}
+
 TEST(Session, DataAbsentInflatesResponses) {
   workload::QueryGen gen(data(), 6);
   const auto queries = gen.batch(rtree::QueryKind::Range, 10);
@@ -294,6 +320,7 @@ TEST(SchemeSteps, MachineModelCopiesMatchTypeErased) {
           s == Scheme::FilterClientRefineServer || s == Scheme::FilterServerRefineClient;
       if (nn && hybrid) continue;
       for (const bool data_at_client : {true, false}) {
+        if (s == Scheme::FullyAtClient && !data_at_client) continue;  // needs the data
         SCOPED_TRACE(std::string(name_of(kind)) + " " + name_of(s) +
                      (data_at_client ? " data@client" : " data@server"));
         const SessionConfig cfg = base_config();

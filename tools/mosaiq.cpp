@@ -20,6 +20,7 @@
 #include "cli/args.hpp"
 #include "core/adaptive_session.hpp"
 #include "core/fleet.hpp"
+#include "core/query_exec.hpp"
 #include "core/session.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
@@ -205,38 +206,33 @@ int cmd_run(int argc, const char* const* argv) {
   obs::TraceSink* trace = obs_paths.enabled() ? &sink : nullptr;
   stats::Outcome final_outcome;
 
+  // Runs the workload on a Session or an AdaptiveSession, recording
+  // per-query deltas when asked; returns the totals.
+  auto run_all = [&](auto& s) {
+    s.set_trace(trace);
+    stats::Outcome prev = s.outcome();
+    for (const auto& q : queries) {
+      s.run_query(q);
+      if (want_per_query) {
+        const stats::Outcome now = s.outcome();
+        recorder.record(name_of(rtree::kind_of(q)), prev, now);
+        prev = now;
+      }
+    }
+    return s.outcome();
+  };
   stats::Table t(stats::outcome_header());
   if (p.get("scheme") == "adaptive") {
     const core::Objective obj = p.get("objective") == "latency" ? core::Objective::Latency
                                                                 : core::Objective::Energy;
     core::AdaptiveSession s(d, cfg, obj);
-    s.set_trace(trace);
-    stats::Outcome prev = s.outcome();
-    for (const auto& q : queries) {
-      s.run_query(q);
-      if (want_per_query) {
-        const stats::Outcome now = s.outcome();
-        recorder.record(name_of(rtree::kind_of(q)), prev, now);
-        prev = now;
-      }
-    }
-    final_outcome = s.outcome();
+    final_outcome = run_all(s);
     t.row(stats::outcome_row("adaptive(" + p.get("objective") + ")", final_outcome));
   } else {
     core::SessionConfig run_cfg = cfg;
     run_cfg.scheme = parse_scheme(p.get("scheme"));
     core::Session s(d, run_cfg);
-    s.set_trace(trace);
-    stats::Outcome prev = s.outcome();
-    for (const auto& q : queries) {
-      s.run_query(q);
-      if (want_per_query) {
-        const stats::Outcome now = s.outcome();
-        recorder.record(name_of(rtree::kind_of(q)), prev, now);
-        prev = now;
-      }
-    }
-    final_outcome = s.outcome();
+    final_outcome = run_all(s);
     t.row(stats::outcome_row(p.get("scheme"), final_outcome));
   }
   emit(t, p.get_flag("csv"));
@@ -274,8 +270,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   const workload::Dataset d = load_dataset(p.get("dataset"), p.get_u32("segments"));
   const auto queries = workload_from(p, d);
   const auto qk = parse_query_kind(p.get("query"));
-  const bool hybrids = qk == rtree::QueryKind::Point || qk == rtree::QueryKind::Range ||
-                       qk == rtree::QueryKind::Route;
+  const bool data_at_client = config_from(p).placement.data_at_client;
 
   auto parse_list = [](const std::string& csv) {
     std::vector<double> out;
@@ -299,9 +294,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   for (const core::Scheme s : {core::Scheme::FullyAtClient, core::Scheme::FullyAtServer,
                                core::Scheme::FilterClientRefineServer,
                                core::Scheme::FilterServerRefineClient}) {
-    if (!hybrids && s != core::Scheme::FullyAtClient && s != core::Scheme::FullyAtServer) {
-      continue;
-    }
+    if (!core::scheme_runs(s, qk, data_at_client)) continue;
     for (const double v : values) {
       core::SessionConfig cfg = config_from(p);
       cfg.scheme = s;
