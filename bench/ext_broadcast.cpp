@@ -25,8 +25,7 @@ int main() {
   // directly prices a tune-in).
   const std::vector<geom::Rect> hot = {{{0.20, 0.27}, {0.26, 0.33}},
                                        {{0.54, 0.22}, {0.60, 0.28}}};
-  const net::BroadcastProgram program =
-      net::make_broadcast_program(pa.tree, pa.store, hot, 2.0, 4);
+  const net::BroadcastProgram program = net::make_broadcast_program(pa.tree, hot, 2.0, 4);
   std::cout << "program: " << program.regions.size() << " regions, cycle "
             << stats::fmt_fixed(program.cycle_s, 2) << " s, "
             << program.index_replicas << " index replicas";
@@ -102,7 +101,7 @@ int main() {
     std::vector<geom::Rect> log;
     for (const auto& q : traffic) log.push_back(q.window);
     const auto derived = net::hot_regions_from_history(log, pa.extent, 4, 0.8);
-    const auto derived_prog = net::make_broadcast_program(pa.tree, pa.store, derived, 2.0, 4);
+    const auto derived_prog = net::make_broadcast_program(pa.tree, derived, 2.0, 4);
 
     core::BroadcastClient handpicked(pa, cfg, program);
     core::BroadcastClient learned(pa, cfg, derived_prog);

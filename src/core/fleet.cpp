@@ -77,7 +77,6 @@ struct Client {
   std::vector<std::uint32_t> candidates;  ///< in-flight unit's, between steps
   std::uint64_t request_bytes = 0;        ///< in-flight request payload
   std::uint64_t response_bytes = 0;       ///< in-flight response payload
-  std::vector<double> latencies;
   std::uint64_t answers = 0;
   std::uint64_t answers_at_issue = 0;  ///< rollback point for a lost exchange
   double energy_at_issue_j = 0;        ///< scheduler discharge sampling
@@ -325,6 +324,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // Stages: 0 issue (after think), 1 medium-for-tx, 2 server, 3
   // medium-for-rx, 4 completion/unpack.
   double makespan = 0;
+  std::vector<double> latencies;  ///< one per answered unit, fleet-wide
 
   // Drops one replica of unit `u`; when that was the last live copy of
   // an unanswered unit, re-hand it to a survivor at `when` (the server
@@ -379,7 +379,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     } else {
       w.answered = true;
       --unresolved;
-      c.latencies.push_back(done - c.issue_time);
+      latencies.push_back(done - c.issue_time);
     }
     if (w.live_replicas > 0) --w.live_replicas;
     c.active = false;
@@ -657,21 +657,21 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // --- aggregate ----------------------------------------------------------
   FleetOutcome out;
   out.makespan_s = makespan;
-  std::vector<double> all;
   double energy = 0;
   for (const Client& c : clients) {
-    all.insert(all.end(), c.latencies.begin(), c.latencies.end());
     const double client_j = c.cpu->energy().total_j() + c.nic.total_joules();
     out.client_energy_j.push_back(client_j);
     energy += client_j;
     out.answers += c.answers;
   }
-  std::sort(all.begin(), all.end());
-  if (!all.empty()) {
+  // Sorted before summing, so the order units were answered in cannot
+  // move a bit.
+  std::sort(latencies.begin(), latencies.end());
+  if (!latencies.empty()) {
     double sum = 0;
-    for (const double l : all) sum += l;
-    out.mean_latency_s = sum / static_cast<double>(all.size());
-    out.p95_latency_s = all[static_cast<std::size_t>(0.95 * (all.size() - 1))];
+    for (const double l : latencies) sum += l;
+    out.mean_latency_s = sum / static_cast<double>(latencies.size());
+    out.p95_latency_s = latencies[static_cast<std::size_t>(0.95 * (latencies.size() - 1))];
   }
   out.mean_client_energy_j = energy / std::max<std::size_t>(1, clients.size());
   // Busy time also counts legs and server work of units that later

@@ -37,7 +37,6 @@ std::optional<std::size_t> BroadcastProgram::region_for(const geom::Rect& window
 }
 
 BroadcastProgram make_broadcast_program(const rtree::PackedRTree& master,
-                                        const rtree::SegmentStore& store,
                                         const std::vector<geom::Rect>& hot_regions,
                                         double bandwidth_mbps,
                                         std::uint32_t index_replicas) {
@@ -69,7 +68,6 @@ BroadcastProgram make_broadcast_program(const rtree::PackedRTree& master,
                      rtree::packed_node_count(r.records.size()) * rtree::kNodeBytes;
     p.regions.push_back(std::move(r));
   }
-  (void)store;
 
   // Layout: m interleaves, each an index replica followed by 1/m of the
   // buckets (round robin).  Offsets are the bucket start times.

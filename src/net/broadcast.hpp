@@ -26,7 +26,6 @@
 
 #include "geom/rect.hpp"
 #include "rtree/packed_rtree.hpp"
-#include "rtree/segment_store.hpp"
 
 namespace mosaiq::net {
 
@@ -65,7 +64,6 @@ struct BroadcastProgram {
 /// inside the rect is answerable from the bucket alone), buckets are
 /// laid out after each of the m index replicas in round-robin order.
 BroadcastProgram make_broadcast_program(const rtree::PackedRTree& master,
-                                        const rtree::SegmentStore& store,
                                         const std::vector<geom::Rect>& hot_regions,
                                         double bandwidth_mbps, std::uint32_t index_replicas = 4);
 

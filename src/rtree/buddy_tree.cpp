@@ -1,12 +1,11 @@
 #include "rtree/buddy_tree.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <queue>
 
 #include "geom/predicates.hpp"
 #include "rtree/costs.hpp"
+#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -159,47 +158,30 @@ void BuddyTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
 std::vector<NNResult> BuddyTree::nearest_k(const geom::Point& p, std::uint32_t k,
                                            const SegmentStore& store,
                                            ExecHooks& hooks) const {
-  std::vector<NNResult> out;
-  if (size_ == 0 || k == 0) return out;
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.push({0.0, false, 0});
-  while (!heap.empty()) {
-    hooks.instr(costs::kHeapOp);
-    const Item it = heap.top();
-    heap.pop();
-    if (it.is_data) {
-      out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-      if (out.size() == k) return out;
-      continue;
-    }
-    const BNode& n = nodes_[it.idx];
+  if (size_ == 0) return {};
+  // A directory node enters its children at their minimal rects' box
+  // distance, skipping subtrees that never received data; a leaf enters
+  // its records at their exact distance.
+  return best_first(0, k, store, hooks, HeapOps{}, [&](std::uint32_t ni, const auto& push) {
+    const BNode& n = nodes_[ni];
     hooks.instr(costs::kNodeVisit);
-    hooks.read(node_addr(it.idx), kNodeHeaderBytes);
+    hooks.read(node_addr(ni), kNodeHeaderBytes);
     if (!n.leaf) {
       for (const std::uint32_t c : {n.left, n.right}) {
         if (nodes_[c].mbr.is_empty()) continue;
         hooks.instr(costs::kRectDist2);
-        heap.push({nodes_[c].mbr.dist2(p), false, c});
-        hooks.instr(costs::kHeapOp);
+        push(nodes_[c].mbr.dist2(p), false, c);
       }
-      continue;
+      return;
     }
     for (std::size_t e = 0; e < n.entries.size(); ++e) {
       hooks.instr(costs::kEntryLoop);
-      hooks.read(node_addr(it.idx) + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
+      hooks.read(node_addr(ni) + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
       const geom::Segment& s = store.fetch(n.entries[e].record, hooks);
       hooks.instr(costs::kPointSegDist2);
-      heap.push({geom::point_segment_dist2(p, s), true, n.entries[e].record});
-      hooks.instr(costs::kHeapOp);
+      push(geom::point_segment_dist2(p, s), true, n.entries[e].record);
     }
-  }
-  return out;
+  });
 }
 
 std::optional<NNResult> BuddyTree::nearest(const geom::Point& p, const SegmentStore& store,

@@ -1,20 +1,9 @@
 #include "rtree/dynamic_rtree.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 
-#include "rtree/search.hpp"
-
 namespace mosaiq::rtree {
-
-namespace {
-
-double enlargement(const geom::Rect& mbr, const geom::Rect& add) {
-  return geom::unite(mbr, add).area() - mbr.area();
-}
-
-}  // namespace
 
 DynamicRTree DynamicRTree::build(const SegmentStore& store) {
   DynamicRTree t;
@@ -22,33 +11,66 @@ DynamicRTree DynamicRTree::build(const SegmentStore& store) {
   return t;
 }
 
-std::uint32_t DynamicRTree::choose_leaf(const geom::Rect& mbr) const {
-  std::uint32_t ni = root_;
-  while (!nodes_[ni].leaf) {
-    const DynNode& n = nodes_[ni];
-    double best_enl = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    std::uint32_t best = n.children.front();
-    for (std::size_t e = 0; e < n.children.size(); ++e) {
-      const double enl = enlargement(n.rects[e], mbr);
-      const double area = n.rects[e].area();
-      if (enl < best_enl || (enl == best_enl && area < best_area)) {
-        best_enl = enl;
-        best_area = area;
-        best = n.children[e];
-      }
+std::uint32_t least_enlargement(const DynNode& n, const geom::Rect& mbr) {
+  double best_enl = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  std::uint32_t best = n.children.front();
+  for (std::size_t e = 0; e < n.children.size(); ++e) {
+    const double enl = enlargement(n.rects[e], mbr);
+    const double area = n.rects[e].area();
+    if (enl < best_enl || (enl == best_enl && area < best_area)) {
+      best_enl = enl;
+      best_area = area;
+      best = n.children[e];
     }
-    ni = best;
   }
-  return ni;
+  return best;
+}
+
+std::uint32_t install_split(std::vector<DynNode>& nodes, std::uint32_t ni, DynNode a, DynNode b,
+                            std::uint32_t& root, std::uint32_t& height) {
+  const std::uint32_t parent = nodes[ni].parent;
+  a.leaf = b.leaf = nodes[ni].leaf;
+  a.parent = b.parent = parent;
+  const auto bi = static_cast<std::uint32_t>(nodes.size());
+  nodes[ni] = std::move(a);
+  nodes.push_back(std::move(b));
+  if (!nodes[bi].leaf) {
+    for (const std::uint32_t c : nodes[bi].children) nodes[c].parent = bi;
+  }
+
+  if (parent == kNoNode) {
+    // Root split: a new root above both halves.
+    const auto new_root = static_cast<std::uint32_t>(nodes.size());
+    DynNode r;
+    r.leaf = false;
+    r.children = {ni, bi};
+    r.rects = {nodes[ni].mbr, nodes[bi].mbr};
+    r.mbr = geom::unite(nodes[ni].mbr, nodes[bi].mbr);
+    nodes.push_back(std::move(r));
+    nodes[ni].parent = new_root;
+    nodes[bi].parent = new_root;
+    root = new_root;
+    ++height;
+    return kNoNode;
+  }
+
+  DynNode& p = nodes[parent];
+  for (std::size_t e = 0; e < p.children.size(); ++e) {
+    if (p.children[e] == ni) {
+      p.rects[e] = nodes[ni].mbr;
+      break;
+    }
+  }
+  p.add(bi, nodes[bi].mbr);
+  return parent;
 }
 
 void DynamicRTree::insert(std::uint32_t rec, const geom::Rect& mbr) {
-  const std::uint32_t leaf = choose_leaf(mbr);
+  std::uint32_t leaf = root_;
+  while (!nodes_[leaf].leaf) leaf = least_enlargement(nodes_[leaf], mbr);
   DynNode& n = nodes_[leaf];
-  n.children.push_back(rec);
-  n.rects.push_back(mbr);
-  n.mbr.expand(mbr);
+  n.add(rec, mbr);
   ++size_;
   if (n.children.size() > kNodeCapacity) {
     split(leaf);
@@ -61,7 +83,7 @@ void DynamicRTree::split(std::uint32_t ni) {
   // Guttman's quadratic split: pick the pair of entries whose combined
   // MBR wastes the most area as seeds, then assign the rest greedily by
   // enlargement preference.
-  DynNode& n = nodes_[ni];
+  const DynNode& n = nodes_[ni];
   const std::size_t m = n.children.size();
   assert(m > 1);
 
@@ -82,15 +104,8 @@ void DynamicRTree::split(std::uint32_t ni) {
 
   DynNode a;
   DynNode b;
-  a.leaf = b.leaf = n.leaf;
-  a.parent = b.parent = n.parent;
-  auto push = [](DynNode& d, std::uint32_t child, const geom::Rect& r) {
-    d.children.push_back(child);
-    d.rects.push_back(r);
-    d.mbr.expand(r);
-  };
-  push(a, n.children[seed_a], n.rects[seed_a]);
-  push(b, n.children[seed_b], n.rects[seed_b]);
+  a.add(n.children[seed_a], n.rects[seed_a]);
+  b.add(n.children[seed_b], n.rects[seed_b]);
 
   const std::size_t min_fill = kNodeCapacity / 2;
   std::vector<std::size_t> rest;
@@ -101,59 +116,26 @@ void DynamicRTree::split(std::uint32_t ni) {
     const std::size_t i = rest[k];
     const std::size_t remaining = rest.size() - k;
     if (a.children.size() + remaining <= min_fill) {
-      push(a, n.children[i], n.rects[i]);
+      a.add(n.children[i], n.rects[i]);
       continue;
     }
     if (b.children.size() + remaining <= min_fill) {
-      push(b, n.children[i], n.rects[i]);
+      b.add(n.children[i], n.rects[i]);
       continue;
     }
     const double ea = enlargement(a.mbr, n.rects[i]);
     const double eb = enlargement(b.mbr, n.rects[i]);
     if (ea < eb || (ea == eb && a.children.size() <= b.children.size())) {
-      push(a, n.children[i], n.rects[i]);
+      a.add(n.children[i], n.rects[i]);
     } else {
-      push(b, n.children[i], n.rects[i]);
+      b.add(n.children[i], n.rects[i]);
     }
   }
 
-  const std::uint32_t bi = static_cast<std::uint32_t>(nodes_.size());
-  const std::uint32_t parent = n.parent;
-  nodes_[ni] = std::move(a);
-  nodes_.push_back(std::move(b));
-
-  // Re-parent the children of the new node when internal.
-  if (!nodes_[bi].leaf) {
-    for (const std::uint32_t c : nodes_[bi].children) nodes_[c].parent = bi;
-  }
-
-  if (parent == kNoNode) {
-    // Root split: create a new root above both halves.
-    const std::uint32_t new_root = static_cast<std::uint32_t>(nodes_.size());
-    DynNode r;
-    r.leaf = false;
-    r.children = {ni, bi};
-    r.rects = {nodes_[ni].mbr, nodes_[bi].mbr};
-    r.mbr = geom::unite(nodes_[ni].mbr, nodes_[bi].mbr);
-    nodes_.push_back(std::move(r));
-    nodes_[ni].parent = new_root;
-    nodes_[bi].parent = new_root;
-    root_ = new_root;
-    ++height_;
-    return;
-  }
-
-  DynNode& p = nodes_[parent];
-  for (std::size_t e = 0; e < p.children.size(); ++e) {
-    if (p.children[e] == ni) {
-      p.rects[e] = nodes_[ni].mbr;
-      break;
-    }
-  }
-  p.children.push_back(bi);
-  p.rects.push_back(nodes_[bi].mbr);
-  p.mbr.expand(nodes_[bi].mbr);
-  if (p.children.size() > kNodeCapacity) {
+  const std::uint32_t parent =
+      install_split(nodes_, ni, std::move(a), std::move(b), root_, height_);
+  if (parent == kNoNode) return;
+  if (nodes_[parent].children.size() > kNodeCapacity) {
     split(parent);
   } else {
     adjust_upward(parent);
@@ -176,34 +158,15 @@ void DynamicRTree::adjust_upward(std::uint32_t ni) {
   }
 }
 
-void DynamicRTree::filter_point(const geom::Point& p, ExecHooks& hooks,
-                                std::vector<std::uint32_t>& out) const {
-  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
-}
-
-void DynamicRTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
-                                std::vector<std::uint32_t>& out) const {
-  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
-}
-
-std::optional<NNResult> DynamicRTree::nearest(const geom::Point& p, const SegmentStore& store,
-                                              ExecHooks& hooks) const {
-  return nearest_of(nearest_k(p, 1, store, hooks));
-}
-
-std::vector<NNResult> DynamicRTree::nearest_k(const geom::Point& p, std::uint32_t k,
-                                              const SegmentStore& store,
-                                              ExecHooks& hooks) const {
-  return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks);
-}
-
 bool valid_dyn_tree(const std::vector<DynNode>& nodes, std::uint32_t root, std::size_t records) {
   if (records == 0) return true;
   std::size_t seen = 0;
+  std::size_t visited = 0;
   std::vector<std::uint32_t> stack{root};
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
+    ++visited;
     const DynNode& n = nodes[ni];
     if (n.children.size() != n.rects.size()) return false;
     if (n.children.size() > kNodeCapacity) return false;
@@ -221,7 +184,7 @@ bool valid_dyn_tree(const std::vector<DynNode>& nodes, std::uint32_t root, std::
     }
     if (!n.mbr.contains(cover)) return false;
   }
-  return seen == records;
+  return seen == records && visited == nodes.size();
 }
 
 }  // namespace mosaiq::rtree

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "rtree/search.hpp"
-
 namespace mosaiq::rtree {
-
-HilbertRTree::HilbertRTree(const geom::Rect& extent, std::uint64_t base_addr)
-    : mapper_(extent), base_addr_(base_addr) {}
 
 HilbertRTree HilbertRTree::build(const SegmentStore& store) {
   HilbertRTree t(store.empty() ? geom::Rect{{0, 0}, {1, 1}} : store.extent());
@@ -16,37 +11,15 @@ HilbertRTree HilbertRTree::build(const SegmentStore& store) {
   return t;
 }
 
-std::size_t HilbertRTree::node_count() const {
-  std::size_t n = 0;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    ++n;
-    const HNode& node = nodes_[ni];
-    if (!node.leaf) {
-      for (const HEntry& e : node.entries) stack.push_back(e.child);
-    }
-  }
-  return n;
-}
-
 double HilbertRTree::average_utilization() const {
+  // Every pooled node is in the tree.  The root is legitimately
+  // underfull; exclude it like the paper does.
   std::size_t n = 0;
   std::size_t entries = 0;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    const HNode& node = nodes_[ni];
-    // The root is legitimately underfull; exclude it like the paper does.
-    if (ni != root_ || nodes_.size() == 1) {
-      ++n;
-      entries += node.entries.size();
-    }
-    if (!node.leaf) {
-      for (const HEntry& e : node.entries) stack.push_back(e.child);
-    }
+  for (std::uint32_t ni = 0; ni < nodes_.size(); ++ni) {
+    if (ni == root_ && nodes_.size() > 1) continue;
+    ++n;
+    entries += nodes_[ni].entries.size();
   }
   if (n == 0) return 0.0;
   return static_cast<double>(entries) / (static_cast<double>(n) * kNodeCapacity);
@@ -76,7 +49,7 @@ void HilbertRTree::insert_sorted(HNode& n, HEntry e) {
   n.entries.insert(pos, std::move(e));
 }
 
-HilbertRTree::HEntry HilbertRTree::summary_of(std::uint32_t ni) const {
+HEntry HilbertRTree::summary_of(std::uint32_t ni) const {
   const HNode& n = nodes_[ni];
   HEntry s;
   s.child = ni;
@@ -218,39 +191,18 @@ void HilbertRTree::insert(std::uint32_t rec, const geom::Segment& seg) {
   handle_overflow(leaf);
   // Overflow handling reshuffles summaries itself, but the path above
   // the touched parent still needs its rect/lhv refreshed.
-  refresh_ancestors(leaf < nodes_.size() ? leaf : root_);
-}
-
-// --- queries -----------------------------------------------------------
-
-void HilbertRTree::filter_point(const geom::Point& p, ExecHooks& hooks,
-                                std::vector<std::uint32_t>& out) const {
-  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
-}
-
-void HilbertRTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
-                                std::vector<std::uint32_t>& out) const {
-  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
-}
-
-std::vector<NNResult> HilbertRTree::nearest_k(const geom::Point& p, std::uint32_t k,
-                                              const SegmentStore& store,
-                                              ExecHooks& hooks) const {
-  return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks);
-}
-
-std::optional<NNResult> HilbertRTree::nearest(const geom::Point& p, const SegmentStore& store,
-                                              ExecHooks& hooks) const {
-  return nearest_of(nearest_k(p, 1, store, hooks));
+  refresh_ancestors(leaf);
 }
 
 bool HilbertRTree::validate() const {
   if (size_ == 0) return true;
   std::size_t records = 0;
+  std::size_t visited = 0;
   std::vector<std::uint32_t> stack{root_};
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
+    ++visited;
     const HNode& n = nodes_[ni];
     if (n.entries.empty() || n.entries.size() > kNodeCapacity) return false;
     // Entries ascend by LHV.
@@ -276,7 +228,7 @@ bool HilbertRTree::validate() const {
       stack.push_back(e.child);
     }
   }
-  return records == size_;
+  return records == size_ && visited == nodes_.size();
 }
 
 }  // namespace mosaiq::rtree

@@ -10,23 +10,23 @@
 //
 // Queries follow the paper's implementation: depth-first filtering for
 // point and range queries (producing candidate ids for a separate
-// refinement step) and a pruned best-first search for nearest-neighbor
-// (Roussopoulos et al., SIGMOD'95), which has no separate
-// filtering/refinement phases.
+// refinement step) and a best-first search for nearest-neighbor
+// (Roussopoulos et al., SIGMOD'95) that stops once k records have
+// popped, with no separate filtering/refinement phases.  The filters
+// and the search are the shared traversals of rtree/search.hpp; the
+// packed tree's search also charges its heap's scratch-memory traffic
+// (ScratchHeap).
 //
 // The query kernels (the filters, the nearest-neighbor search and the
 // refinement steps) are templates over the hooks type, as the shared
-// traversals in rtree/search.hpp are: compiled once per machine model,
-// and once more for ExecHooks&.
+// traversals are: compiled once per machine model, and once more for
+// ExecHooks&.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -123,11 +123,13 @@ class PackedRTree {
   }
 
   /// The k nearest segments, ascending by distance (fewer when the
-  /// store holds fewer than k records).  Same pruned best-first search:
-  /// data items pop from the priority queue in exact-distance order.
+  /// store holds fewer than k records): data items pop from the
+  /// priority queue in exact-distance order.
   template <typename Hooks>
   std::vector<NNResult> nearest_k(const geom::Point& p, std::uint32_t k,
-                                  const SegmentStore& store, Hooks& hooks) const;
+                                  const SegmentStore& store, Hooks& hooks) const {
+    return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks, ScratchHeap{});
+  }
 
   /// Structural invariants: every parent MBR covers its children, leaf
   /// entries reference valid records, every record is referenced exactly
@@ -169,68 +171,6 @@ void PackedRTree::filter_route(std::span<const geom::Segment> legs, Hooks& hooks
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first_out), out.end());
   out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(first_out), out.end()),
             out.end());
-}
-
-template <typename Hooks>
-std::vector<NNResult> PackedRTree::nearest_k(const geom::Point& p, std::uint32_t k,
-                                             const SegmentStore& store, Hooks& hooks) const {
-  std::vector<NNResult> out;
-  if (nodes_.empty() || k == 0) return out;
-
-  // Best-first search over a min-heap of (distance, kind, index) where
-  // kind distinguishes node entries from data entries.  Heap elements are
-  // 16 simulated bytes in scratch space.
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  const std::uint64_t heap_base = simaddr::kScratchBase + (1u << 20);
-  std::uint64_t heap_hint = heap_base;
-
-  auto heap_push = [&](const Item& it) {
-    hooks.instr(costs::kHeapOp);
-    hooks.write(heap_hint, 16);
-    heap_hint = heap_base + (heap.size() % 4096) * 16;
-    heap.push(it);
-  };
-  auto heap_pop = [&]() {
-    hooks.instr(costs::kHeapOp);
-    hooks.read(heap_base, 16);
-    Item it = heap.top();
-    heap.pop();
-    return it;
-  };
-
-  heap_push({0.0, false, root_});
-  while (!heap.empty()) {
-    const Item it = heap_pop();
-    if (it.is_data) {
-      out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-      if (out.size() == k) return out;
-      continue;
-    }
-    const Node& n = nodes_[it.idx];
-    const std::uint64_t na = node_addr(it.idx);
-    hooks.instr(costs::kNodeVisit);
-    hooks.read(na, kNodeHeaderBytes);
-    for (std::uint32_t e = 0; e < n.count; ++e) {
-      hooks.instr(costs::kEntryLoop);
-      hooks.read(na + kNodeHeaderBytes + e * kEntryBytes, kEntryBytes);
-      if (n.is_leaf()) {
-        // Exact distance to the data item (fetch + point-segment test).
-        const geom::Segment& s = store.fetch(n.entries[e].child, hooks);
-        hooks.instr(costs::kPointSegDist2);
-        heap_push({geom::point_segment_dist2(p, s), true, n.entries[e].child});
-      } else {
-        hooks.instr(costs::kRectDist2);
-        heap_push({n.entries[e].mbr.dist2(p), false, n.entries[e].child});
-      }
-    }
-  }
-  return out;  // fewer than k records in the store
 }
 
 // --- Refinement step --------------------------------------------------------

@@ -1,11 +1,10 @@
 #include "rtree/pmr_quadtree.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <queue>
 
 #include "geom/predicates.hpp"
 #include "rtree/costs.hpp"
+#include "rtree/search.hpp"
 
 namespace mosaiq::rtree {
 
@@ -185,57 +184,31 @@ void PmrQuadtree::filter_range(const geom::Rect& window, ExecHooks& hooks,
 std::vector<NNResult> PmrQuadtree::nearest_k(const geom::Point& p, std::uint32_t k,
                                              const SegmentStore& store,
                                              ExecHooks& hooks) const {
-  std::vector<NNResult> out;
-  if (size_ == 0 || k == 0) return out;
-
-  struct Item {
-    double d;
-    bool is_data;
-    std::uint32_t idx;
-    bool operator>(const Item& o) const { return d > o.d; }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  // Duplicates across cells: `out` never exceeds k entries, so a linear
-  // scan of what was already reported beats a hashed set (and keeps the
-  // hot path free of unordered containers).
-  auto already_reported = [&](std::uint32_t rec) {
-    return std::any_of(out.begin(), out.end(),
-                       [&](const NNResult& r) { return r.record == rec; });
-  };
-  heap.push({0.0, false, 0});
-  while (!heap.empty()) {
-    hooks.instr(costs::kHeapOp);
-    const Item it = heap.top();
-    heap.pop();
-    if (it.is_data) {
-      if (!already_reported(it.idx)) {
-        out.push_back(NNResult{it.idx, store.id(it.idx), std::sqrt(it.d)});
-        if (out.size() == k) return out;
-      }
-      continue;
-    }
-    const QNode& n = nodes_[it.idx];
+  if (size_ == 0) return {};
+  // An internal node enters its four quadrants at their cells' box
+  // distance; a leaf enters every record it lists at its exact distance.
+  // A record listed by several leaves pops once per leaf and is
+  // reported once.
+  return best_first(0, k, store, hooks, HeapOps{}, [&](std::uint32_t ni, const auto& push) {
+    const QNode& n = nodes_[ni];
     hooks.instr(costs::kNodeVisit);
-    hooks.read(node_addr(it.idx), 8);
+    hooks.read(node_addr(ni), 8);
     if (!n.leaf) {
-      hooks.read(node_addr(it.idx) + 8, 16);
+      hooks.read(node_addr(ni) + 8, 16);
       for (const std::uint32_t c : n.children) {
         hooks.instr(costs::kRectDist2);
-        heap.push({nodes_[c].cell.dist2(p), false, c});
-        hooks.instr(costs::kHeapOp);
+        push(nodes_[c].cell.dist2(p), false, c);
       }
-      continue;
+      return;
     }
-    charge_leaf_scan(n, node_addr(it.idx), hooks);
+    charge_leaf_scan(n, node_addr(ni), hooks);
     for (const std::uint32_t rec : n.records) {
       hooks.instr(costs::kEntryLoop);
       const geom::Segment& s = store.fetch(rec, hooks);
       hooks.instr(costs::kPointSegDist2);
-      heap.push({geom::point_segment_dist2(p, s), true, rec});
-      hooks.instr(costs::kHeapOp);
+      push(geom::point_segment_dist2(p, s), true, rec);
     }
-  }
-  return out;
+  });
 }
 
 std::optional<NNResult> PmrQuadtree::nearest(const geom::Point& p, const SegmentStore& store,

@@ -1,52 +1,53 @@
 #include "rtree/rstar_tree.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
 
-#include "rtree/search.hpp"
-
 namespace mosaiq::rtree {
 
 namespace {
-
-double area_enlargement(const geom::Rect& mbr, const geom::Rect& add) {
-  return geom::unite(mbr, add).area() - mbr.area();
-}
 
 double overlap_area(const geom::Rect& a, const geom::Rect& b) {
   const geom::Rect i = geom::intersection(a, b);
   return i.is_empty() ? 0.0 : i.area();
 }
 
-}  // namespace
+/// R*'s subtree choice when the children are leaves: the child whose
+/// rect, grown to cover `mbr`, adds the least overlap with its siblings
+/// (ties: least area enlargement, then the smaller rect).
+std::uint32_t least_overlap_enlargement(const DynNode& n, const geom::Rect& mbr) {
+  double best_ov = std::numeric_limits<double>::infinity();
+  double best_enl = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  std::uint32_t best = n.children.front();
+  for (std::size_t i = 0; i < n.children.size(); ++i) {
+    const geom::Rect grown = geom::unite(n.rects[i], mbr);
+    double ov = 0;
+    for (std::size_t j = 0; j < n.children.size(); ++j) {
+      if (j == i) continue;
+      ov += overlap_area(grown, n.rects[j]) - overlap_area(n.rects[i], n.rects[j]);
+    }
+    const double enl = enlargement(n.rects[i], mbr);
+    const double area = n.rects[i].area();
+    if (ov < best_ov || (ov == best_ov && enl < best_enl) ||
+        (ov == best_ov && enl == best_enl && area < best_area)) {
+      best_ov = ov;
+      best_enl = enl;
+      best_area = area;
+      best = n.children[i];
+    }
+  }
+  return best;
+}
 
-RStarTree::RStarTree(RStarConfig cfg, std::uint64_t base_addr)
-    : cfg_(cfg), base_addr_(base_addr) {}
+}  // namespace
 
 RStarTree RStarTree::build(const SegmentStore& store, RStarConfig cfg) {
   RStarTree t(cfg);
   for (std::uint32_t i = 0; i < store.size(); ++i) t.insert(i, store.segment(i).mbr());
   return t;
-}
-
-std::size_t RStarTree::node_count() const {
-  // Nodes detached by splits never occur: nodes_ only grows with live
-  // nodes; count reachable ones to stay precise after root changes.
-  std::size_t n = 0;
-  std::vector<std::uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::uint32_t ni = stack.back();
-    stack.pop_back();
-    ++n;
-    const DynNode& node = nodes_[ni];
-    if (!node.leaf) {
-      for (const std::uint32_t c : node.children) stack.push_back(c);
-    }
-  }
-  return n;
 }
 
 std::uint32_t RStarTree::level_of(std::uint32_t ni) const {
@@ -62,49 +63,9 @@ std::uint32_t RStarTree::level_of(std::uint32_t ni) const {
 std::uint32_t RStarTree::choose_subtree(const geom::Rect& mbr,
                                         std::uint32_t target_level) const {
   std::uint32_t cur = root_;
-  std::uint32_t cur_level = height_ - 1;
-  while (cur_level > target_level) {
-    const DynNode& n = nodes_[cur];
-    std::uint32_t best = n.children.front();
-    if (cur_level == 1) {
-      // Children are leaves: minimize overlap enlargement
-      // (ties: area enlargement, then area).
-      double best_ov = std::numeric_limits<double>::infinity();
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n.children.size(); ++i) {
-        const geom::Rect grown = geom::unite(n.rects[i], mbr);
-        double ov = 0;
-        for (std::size_t j = 0; j < n.children.size(); ++j) {
-          if (j == i) continue;
-          ov += overlap_area(grown, n.rects[j]) - overlap_area(n.rects[i], n.rects[j]);
-        }
-        const double enl = area_enlargement(n.rects[i], mbr);
-        const double area = n.rects[i].area();
-        if (ov < best_ov || (ov == best_ov && enl < best_enl) ||
-            (ov == best_ov && enl == best_enl && area < best_area)) {
-          best_ov = ov;
-          best_enl = enl;
-          best_area = area;
-          best = n.children[i];
-        }
-      }
-    } else {
-      // Minimize area enlargement (ties: area).
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n.children.size(); ++i) {
-        const double enl = area_enlargement(n.rects[i], mbr);
-        const double area = n.rects[i].area();
-        if (enl < best_enl || (enl == best_enl && area < best_area)) {
-          best_enl = enl;
-          best_area = area;
-          best = n.children[i];
-        }
-      }
-    }
-    cur = best;
-    --cur_level;
+  for (std::uint32_t level = height_ - 1; level > target_level; --level) {
+    cur = level > 1 ? least_enlargement(nodes_[cur], mbr)
+                    : least_overlap_enlargement(nodes_[cur], mbr);
   }
   return cur;
 }
@@ -141,9 +102,7 @@ void RStarTree::insert_at_level(Entry e, std::uint32_t target_level, bool is_rec
                                 std::uint32_t depth_budget) {
   const std::uint32_t ni = choose_subtree(e.rect, target_level);
   DynNode& n = nodes_[ni];
-  n.children.push_back(e.child);
-  n.rects.push_back(e.rect);
-  n.mbr.expand(e.rect);
+  n.add(e.child, e.rect);
   if (!is_record) nodes_[e.child].parent = ni;
   adjust_upward(ni);
   if (n.children.size() > kNodeCapacity) overflow(ni, target_level, depth_budget);
@@ -250,82 +209,17 @@ void RStarTree::split(std::uint32_t ni) {
     }
   }
 
-  const bool leaf = nodes_[ni].leaf;
-  const std::uint32_t parent = nodes_[ni].parent;
-
   DynNode a;
   DynNode b;
-  a.leaf = b.leaf = leaf;
-  a.parent = b.parent = parent;
-  for (std::size_t i = 0; i < best_k; ++i) {
-    a.children.push_back(axis[i].child);
-    a.rects.push_back(axis[i].rect);
-    a.mbr.expand(axis[i].rect);
-  }
-  for (std::size_t i = best_k; i < total; ++i) {
-    b.children.push_back(axis[i].child);
-    b.rects.push_back(axis[i].rect);
-    b.mbr.expand(axis[i].rect);
-  }
+  for (std::size_t i = 0; i < total; ++i) (i < best_k ? a : b).add(axis[i].child, axis[i].rect);
 
-  const std::uint32_t bi = static_cast<std::uint32_t>(nodes_.size());
-  nodes_[ni] = std::move(a);
-  nodes_.push_back(std::move(b));
-  if (!nodes_[ni].leaf) {
-    for (const std::uint32_t c : nodes_[ni].children) nodes_[c].parent = ni;
-    for (const std::uint32_t c : nodes_[bi].children) nodes_[c].parent = bi;
-  }
-
-  if (parent == kNoNode) {
-    const std::uint32_t new_root = static_cast<std::uint32_t>(nodes_.size());
-    DynNode r;
-    r.leaf = false;
-    r.children = {ni, bi};
-    r.rects = {nodes_[ni].mbr, nodes_[bi].mbr};
-    r.mbr = geom::unite(nodes_[ni].mbr, nodes_[bi].mbr);
-    nodes_.push_back(std::move(r));
-    nodes_[ni].parent = new_root;
-    nodes_[bi].parent = new_root;
-    root_ = new_root;
-    ++height_;
-    return;
-  }
-
-  DynNode& p = nodes_[parent];
-  for (std::size_t e = 0; e < p.children.size(); ++e) {
-    if (p.children[e] == ni) {
-      p.rects[e] = nodes_[ni].mbr;
-      break;
-    }
-  }
-  p.children.push_back(bi);
-  p.rects.push_back(nodes_[bi].mbr);
-  p.mbr.expand(nodes_[bi].mbr);
+  const std::uint32_t parent =
+      install_split(nodes_, ni, std::move(a), std::move(b), root_, height_);
+  if (parent == kNoNode) return;
   adjust_upward(parent);
-  if (p.children.size() > kNodeCapacity) {
+  if (nodes_[parent].children.size() > kNodeCapacity) {
     overflow(parent, level_of(parent), 0);  // budget 0: splits only upward
   }
-}
-
-void RStarTree::filter_point(const geom::Point& p, ExecHooks& hooks,
-                             std::vector<std::uint32_t>& out) const {
-  point_dfs(nodes_, root_, base_addr_, p, hooks, out);
-}
-
-void RStarTree::filter_range(const geom::Rect& window, ExecHooks& hooks,
-                             std::vector<std::uint32_t>& out) const {
-  range_dfs(nodes_, root_, base_addr_, window, hooks, out);
-}
-
-std::vector<NNResult> RStarTree::nearest_k(const geom::Point& p, std::uint32_t k,
-                                           const SegmentStore& store,
-                                           ExecHooks& hooks) const {
-  return best_first_knn(nodes_, root_, base_addr_, p, k, store, hooks);
-}
-
-std::optional<NNResult> RStarTree::nearest(const geom::Point& p, const SegmentStore& store,
-                                           ExecHooks& hooks) const {
-  return nearest_of(nearest_k(p, 1, store, hooks));
 }
 
 double RStarTree::total_sibling_overlap() const {

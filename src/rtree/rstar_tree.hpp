@@ -9,14 +9,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "geom/rect.hpp"
-#include "rtree/dynamic_rtree.hpp"  // DynNode
+#include "rtree/dynamic_rtree.hpp"  // DynNode, NodeTree
 #include "rtree/exec.hpp"
 #include "rtree/node.hpp"
-#include "rtree/query.hpp"  // NNResult
 #include "rtree/segment_store.hpp"
 
 namespace mosaiq::rtree {
@@ -29,27 +27,15 @@ struct RStarConfig {
   double min_fill = 0.4;
 };
 
-class RStarTree {
+class RStarTree : public NodeTree<DynNode> {
  public:
   explicit RStarTree(RStarConfig cfg = {},
-                     std::uint64_t base_addr = simaddr::kIndexBase + (192ull << 20));
+                     std::uint64_t base_addr = simaddr::kIndexBase + (192ull << 20))
+      : NodeTree(base_addr), cfg_(cfg) {}
 
   static RStarTree build(const SegmentStore& store, RStarConfig cfg = {});
 
   void insert(std::uint32_t rec, const geom::Rect& mbr);
-
-  std::size_t size() const { return size_; }
-  std::size_t node_count() const;
-  std::uint32_t height() const { return height_; }
-  std::uint64_t bytes() const { return node_count() * std::uint64_t{kNodeBytes}; }
-
-  void filter_point(const geom::Point& p, ExecHooks& hooks, std::vector<std::uint32_t>& out) const;
-  void filter_range(const geom::Rect& window, ExecHooks& hooks,
-                    std::vector<std::uint32_t>& out) const;
-  std::optional<NNResult> nearest(const geom::Point& p, const SegmentStore& store,
-                                  ExecHooks& hooks) const;
-  std::vector<NNResult> nearest_k(const geom::Point& p, std::uint32_t k,
-                                  const SegmentStore& store, ExecHooks& hooks) const;
 
   /// Sum of pairwise overlap areas between sibling MBRs, a structural
   /// quality metric (lower is better; R* should beat Guttman).
@@ -73,11 +59,6 @@ class RStarTree {
   std::uint32_t level_of(std::uint32_t ni) const;  ///< 0 = leaf
 
   RStarConfig cfg_;
-  std::vector<DynNode> nodes_{DynNode{}};
-  std::uint32_t root_ = 0;
-  std::uint32_t height_ = 1;
-  std::size_t size_ = 0;
-  std::uint64_t base_addr_;
   /// Levels that already reinserted during the current insertion.
   std::vector<bool> reinserted_;
 };

@@ -104,6 +104,11 @@ void ClientCpu::wait_seconds(double seconds, WaitPolicy policy) {
     case WaitPolicy::BusyPoll: {
       // Spin loop: load the flag, test, branch — 3 instructions + 1 load
       // per iteration, 4 cycles per iteration, all hitting the caches.
+      // The spin is waiting, not compute: it charges its energy and
+      // cache traffic, but the busy and stall cycles stay as they were
+      // (the wait's time is booked by the caller).
+      const std::uint64_t busy = cycles_;
+      const std::uint64_t stalls = stall_cycles_;
       const auto iters = static_cast<std::uint64_t>(seconds * cfg.clock_hz() / 4.0);
       for (std::uint64_t i = 0; i < iters; i += 1u << 16) {
         const std::uint64_t chunk = std::min<std::uint64_t>(1u << 16, iters - i);
@@ -112,13 +117,14 @@ void ClientCpu::wait_seconds(double seconds, WaitPolicy policy) {
         // read() accounts one load; scale the remaining chunk-1 loads in bulk.
         if (chunk > 1) {
           instructions_ += chunk - 1;
-          cycles_ += chunk - 1;
           fetch(chunk - 1);
           energy_.datapath_j += static_cast<double>(chunk - 1) * t.mem_op_nj * kNanojoule;
           energy_.clock_j += static_cast<double>(chunk - 1) * t.clock_nj * kNanojoule;
           energy_.dcache_j += static_cast<double>(chunk - 1) * t.dcache_nj * kNanojoule;
         }
       }
+      cycles_ = busy;
+      stall_cycles_ = stalls;
       break;
     }
     case WaitPolicy::Block: {

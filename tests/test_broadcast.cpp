@@ -27,7 +27,7 @@ SessionConfig base_config() {
 }
 
 net::BroadcastProgram program() {
-  return net::make_broadcast_program(data().tree, data().store, hot_regions(), 2.0, 4);
+  return net::make_broadcast_program(data().tree, hot_regions(), 2.0, 4);
 }
 
 std::uint64_t brute_count(const geom::Rect& w) {
@@ -59,8 +59,8 @@ TEST(BroadcastProgram, LayoutIsConsistent) {
 }
 
 TEST(BroadcastProgram, MoreReplicasShorterIndexWait) {
-  const auto p1 = net::make_broadcast_program(data().tree, data().store, hot_regions(), 2.0, 1);
-  const auto p8 = net::make_broadcast_program(data().tree, data().store, hot_regions(), 2.0, 8);
+  const auto p1 = net::make_broadcast_program(data().tree, hot_regions(), 2.0, 1);
+  const auto p8 = net::make_broadcast_program(data().tree, hot_regions(), 2.0, 8);
   EXPECT_GT(p1.mean_index_wait_s(), p8.mean_index_wait_s());
 }
 
@@ -230,7 +230,7 @@ TEST(HotRegionsFromHistory, EndToEndWithBroadcastClient) {
   for (const auto& q : traffic) log.push_back(q.window);
 
   const auto hot = net::hot_regions_from_history(log, data().extent, 4, 0.8);
-  const auto prog = net::make_broadcast_program(data().tree, data().store, hot, 2.0, 4);
+  const auto prog = net::make_broadcast_program(data().tree, hot, 2.0, 4);
   BroadcastClient c(data(), base_config(), prog);
   for (const auto& q : traffic) c.run_query(q);
   EXPECT_GT(c.broadcast_tunes() + c.cache_hits(), c.fallbacks());

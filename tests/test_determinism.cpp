@@ -332,8 +332,7 @@ TEST(Determinism, RegionClientsMatchGoldenValues) {
   EXPECT_GT(pushes, 0u);
 
   const std::vector<geom::Rect> hot = {{{0.18, 0.25}, {0.26, 0.33}}, {{0.54, 0.22}, {0.60, 0.28}}};
-  const net::BroadcastProgram program =
-      net::make_broadcast_program(data().tree, data().store, hot, 2.0, 4);
+  const net::BroadcastProgram program = net::make_broadcast_program(data().tree, hot, 2.0, 4);
   std::uint32_t tunes = 0, bucket_hits = 0, fallbacks = 0;
   for (const double hot_share : {0.0, 0.5, 1.0}) {
     for (const bool cache_bucket : {true, false}) {

@@ -240,6 +240,27 @@ TEST(Session, WaitPolicySavesEnergyWhileBlocked) {
   EXPECT_GT(e_poll - e_lowp, 2.0 * (e_block - e_lowp));
 }
 
+TEST(Session, BusyPollWaitIsNotCompute) {
+  // The spin of a busy-poll wait burns energy, but its time is the
+  // wait's: it is booked neither as processor cycles nor again as
+  // compute wall time, so polling takes as long as blocking.
+  workload::QueryGen gen(data(), 10);
+  const auto queries = gen.batch(rtree::QueryKind::Range, 10);
+  SessionConfig block = base_config();
+  block.scheme = Scheme::FullyAtServer;
+  block.placement.data_at_client = false;  // long receive phases
+  block.channel.bandwidth_mbps = 2.0;
+  block.wait_policy = sim::WaitPolicy::Block;
+  SessionConfig poll = block;
+  poll.wait_policy = sim::WaitPolicy::BusyPoll;
+  const stats::Outcome o_block = Session::run_batch(data(), block, queries);
+  const stats::Outcome o_poll = Session::run_batch(data(), poll, queries);
+  EXPECT_NEAR(o_poll.wall_seconds, o_block.wall_seconds, 0.01 * o_block.wall_seconds);
+  const auto block_cycles = static_cast<double>(o_block.cycles.processor);
+  EXPECT_NEAR(static_cast<double>(o_poll.cycles.processor), block_cycles, 0.05 * block_cycles);
+  EXPECT_GT(o_poll.energy.processor_j, o_block.energy.processor_j);
+}
+
 TEST(Session, OutcomeIsCumulativeAcrossQueries) {
   SessionConfig cfg = base_config();
   cfg.scheme = Scheme::FullyAtServer;

@@ -122,7 +122,11 @@ class PerFetchClient final : public rtree::ExecHooks {
   void read(std::uint64_t addr, std::uint32_t bytes) override { access(addr, bytes, false); }
   void write(std::uint64_t addr, std::uint32_t bytes) override { access(addr, bytes, true); }
 
+  /// A busy-poll wait charges the spin's energy and cache traffic but
+  /// is not compute: the busy and stall cycles end where they started.
   void busy_poll(double seconds) {
+    const std::uint64_t cycles = cycles_;
+    const std::uint64_t stalls = stalls_;
     const auto iters = static_cast<std::uint64_t>(seconds * cfg_.clock_hz() / 4.0);
     for (std::uint64_t i = 0; i < iters; i += 1u << 16) {
       const std::uint64_t chunk = std::min<std::uint64_t>(1u << 16, iters - i);
@@ -130,13 +134,14 @@ class PerFetchClient final : public rtree::ExecHooks {
       read(simaddr::kNetBase, 4);
       if (chunk > 1) {
         instructions_ += chunk - 1;
-        cycles_ += chunk - 1;
         fetch(chunk - 1);
         e_.datapath_j += static_cast<double>(chunk - 1) * t_.mem_op_nj * kNanojoule;
         e_.clock_j += static_cast<double>(chunk - 1) * t_.clock_nj * kNanojoule;
         e_.dcache_j += static_cast<double>(chunk - 1) * t_.dcache_nj * kNanojoule;
       }
     }
+    cycles_ = cycles;
+    stalls_ = stalls;
   }
 
   std::uint64_t fetches() const { return fetches_; }  ///< walk or not
