@@ -4,9 +4,9 @@
 #   1. A million clients, no faults:
 #        mosaiq fleet --fleet-size 1000000 --n 1 --query point --scheme server --think 0.05
 #      Fails unless it exits 0, prints 1,000,000 answers, and peaks under
-#      2 GB RSS (the child's ru_maxrss, read by python3's
+#      1 GB RSS (the child's ru_maxrss, read by python3's
 #      resource.getrusage(RUSAGE_CHILDREN)).  On a 4-core / 16 GB VM it
-#      takes about 12 s and 0.8 GB (Release).
+#      takes about 6 s and 0.52 GB (Release).
 #   2. 100,000 clients under churn with replication, which exercises the
 #      reassignment path:
 #        mosaiq fleet --fleet-size 100000 --n 2 --query point --churn-rate 0.02
@@ -37,7 +37,7 @@ import sys
 import time
 
 MOSAIQ = sys.argv[1]
-RSS_LIMIT_KB = 2 * 1024 * 1024
+RSS_LIMIT_KB = 1024 * 1024
 CHURN_LIMIT_S = 60.0
 
 
@@ -70,7 +70,7 @@ if status != 0:
 if answers != CLIENTS:
     problems.append(f"{CLIENTS} clients: answers {answers}, expected {CLIENTS}")
 if peak_kb >= RSS_LIMIT_KB:
-    problems.append(f"{CLIENTS} clients: peak RSS {peak_kb / 1024**2:.2f} GB, limit 2 GB")
+    problems.append(f"{CLIENTS} clients: peak RSS {peak_kb / 1024**2:.2f} GB, limit 1 GB")
 summary = [f"{CLIENTS} clients, {answers} answers, peak RSS {peak_kb / 1024**2:.2f} GB, "
            f"{wall_s:.1f} s"]
 

@@ -5,6 +5,13 @@
 // departures before reassignments, lower ids first.  Every rng draw,
 // fault-model consult, resource grant and battery settle therefore
 // happens in one fixed order, which tests/test_determinism.cpp pins.
+//
+// A client is one compact record with no heap block of its own: its
+// machines by value, sharing their constants with every other client;
+// its pending units a list threaded through one fleet-wide link pool;
+// and the state only some fleets read (batteries, the scheduler's
+// samples, the hybrid schemes' candidates, settle marks) in side
+// vectors sized only when that feature is on.
 #include "core/fleet.hpp"
 
 #include <algorithm>
@@ -21,6 +28,7 @@
 #include <vector>
 
 #include "core/query_exec.hpp"
+#include "perf/thread_pool.hpp"
 #include "rng/lazy_mt19937_64.hpp"
 #include "workload/query_gen.hpp"
 
@@ -40,57 +48,99 @@ struct WorkUnit {
   std::uint32_t reassigns = 0;      ///< re-hands consumed (capped)
 };
 
-/// A client's pending unit ids in FIFO order: a vector and a read
-/// index, so a client holding one unit costs one small allocation
-/// instead of a deque node and map.  Storage is reused once drained.
-class WorkQueue {
+constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
+
+/// A client's pending unit ids in FIFO order: a list threaded through
+/// the fleet's WorkLinks, so a queue is three words in its client.
+struct WorkQueue {
+  std::uint32_t head = kNoLink;
+  std::uint32_t tail = kNoLink;
+  std::uint32_t size = 0;
+  bool empty() const { return size == 0; }
+};
+
+/// The one pool of (unit, next) links that every client's WorkQueue
+/// threads through.  A popped link is reused by the next push.
+class WorkLinks {
  public:
-  bool empty() const { return head_ == ids_.size(); }
-  std::size_t size() const { return ids_.size() - head_; }
-  std::uint32_t front() const { return ids_[head_]; }
-  void push_back(std::uint32_t id) { ids_.push_back(id); }
-  void pop_front() {
-    if (++head_ == ids_.size()) clear();
+  explicit WorkLinks(std::size_t capacity) { links_.reserve(capacity); }
+
+  std::uint32_t front(const WorkQueue& q) const { return links_[q.head].unit; }
+
+  void push_back(WorkQueue& q, std::uint32_t unit) {
+    std::uint32_t i = free_;
+    if (i == kNoLink) {
+      i = static_cast<std::uint32_t>(links_.size());
+      links_.push_back({unit, kNoLink});
+    } else {
+      free_ = links_[i].next;
+      links_[i] = {unit, kNoLink};
+    }
+    (q.tail == kNoLink ? q.head : links_[q.tail].next) = i;
+    q.tail = i;
+    ++q.size;
   }
-  void clear() {
-    ids_.clear();
-    head_ = 0;
+
+  void pop_front(WorkQueue& q) {
+    const std::uint32_t i = q.head;
+    q.head = links_[i].next;
+    if (q.head == kNoLink) q.tail = kNoLink;
+    links_[i].next = free_;
+    free_ = i;
+    --q.size;
   }
-  auto begin() const { return ids_.begin() + static_cast<std::ptrdiff_t>(head_); }
-  auto end() const { return ids_.end(); }
 
  private:
-  std::vector<std::uint32_t> ids_;
-  std::size_t head_ = 0;
+  struct Link {
+    std::uint32_t unit;
+    std::uint32_t next;
+  };
+  std::vector<Link> links_;
+  std::uint32_t free_ = kNoLink;  ///< popped links, last popped first
 };
 
+/// One client's state machine, a record with no heap block of its own.
 struct Client {
-  std::unique_ptr<sim::ClientCpu> cpu;
+  Client(std::shared_ptr<const sim::ClientConstants> constants,
+         std::shared_ptr<const net::NicProfile> profile)
+      : cpu(std::move(constants)), nic(std::move(profile)) {}
+
+  sim::ClientCpu cpu;
   net::Nic nic;
-  WorkQueue work;  ///< pending unit ids, front = next
+  WorkQueue work;                  ///< pending unit ids, front = next
   std::uint32_t current = 0;       ///< unit in flight (valid while active)
-  bool active = false;             ///< a unit is issued and unresolved
-  double ready_at = 0;        ///< when the current stage completes
-  double issue_time = 0;      ///< when the in-flight unit was issued
-  int stage = 0;              ///< progress within the in-flight unit
-  Scheme scheme = Scheme::FullyAtClient;  ///< scheme for the in-flight unit
-  std::vector<std::uint32_t> candidates;  ///< in-flight unit's, between steps
-  std::uint64_t request_bytes = 0;        ///< in-flight request payload
-  std::uint64_t response_bytes = 0;       ///< in-flight response payload
+  double issue_time = 0;           ///< when the in-flight unit was issued
+  std::uint64_t request_bytes = 0;     ///< in-flight request payload
+  std::uint64_t response_bytes = 0;    ///< in-flight response payload
   std::uint64_t answers = 0;
   std::uint64_t answers_at_issue = 0;  ///< rollback point for a lost exchange
-  double energy_at_issue_j = 0;        ///< scheduler discharge sampling
-
-  // Client-fault state.
-  sim::Battery battery;
-  bool plugged = false;
-  bool dead = false;
-  bool idle = false;          ///< parked: out of pending work
-  bool wake_pending = false;  ///< a wake event is already queued
   double parked_since = 0;
-  double departs_at = 0;        ///< scheduled departure (inf = never)
-  double battery_empty_at = -1; ///< first time consume() hit the cutoff
+  double departs_at = 0;           ///< scheduled departure (inf = never)
+  std::uint8_t stage = 0;          ///< progress within the in-flight unit
+  Scheme scheme = Scheme::FullyAtClient;  ///< scheme for the in-flight unit
+  bool active = false;             ///< a unit is issued and unresolved
+  bool dead = false;
+  bool idle = false;               ///< parked: out of pending work
+  bool wake_pending = false;       ///< a wake event is already queued
 };
+
+/// A client's battery, in fleets that have batteries.
+struct ClientBattery {
+  sim::Battery battery;
+  double empty_at = -1;  ///< first time consume() hit the cutoff
+  bool plugged = false;
+};
+
+/// A client's energy and busy cycles at its last settle(), in fleets
+/// that are traced or have batteries.
+struct SettleMark {
+  double j = 0;
+  std::uint64_t cycles = 0;
+};
+
+/// Clients per job of the pool that builds the fleet's inputs: enough
+/// query draws per job that the pool's one grab per job does not show.
+constexpr std::size_t kInputChunk = 1024;
 
 /// kClientStage events drive a client's state machine (and double as
 /// wake-ups for parked clients); kDeparture fires a scheduled churn
@@ -187,45 +237,61 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   double medium_busy = 0;
   double server_busy = 0;
 
-  // Tracing: one track per client; spans carry the energy delta accrued
-  // by that client's CPU + NIC since its previous span on the track.
-  // The same deltas drain the client's battery, so settle() runs for
-  // every completed activity whether or not a trace is attached.
-  obs::TraceSink* trace = fleet.trace;
-  std::vector<double> mark_j(fleet.clients, 0.0);
-  std::vector<std::uint64_t> mark_cycles(fleet.clients, 0);
-  std::vector<Client> clients(fleet.clients);
-  // Every client runs the same machine: one copy of its constants.
-  const auto client_constants = std::make_shared<const sim::ClientConstants>(base.client);
-  auto settle = [&](std::uint32_t k, const char* name, double t0, double t1) {
-    Client& c = clients[k];
-    const bool span = trace != nullptr && t1 > t0;
-    // mosaiq-lint: allow(rng-stream-balance) — the only engine in scope is the
-    // per-client provisioning rng below, freshly seeded per client; no shared
-    // stream crosses this early return.
-    if (!span && !batteries_on) return;
-    const double j = c.cpu->energy().total_j() + c.nic.total_joules();
-    const std::uint64_t cyc = c.cpu->busy_cycles();
-    const double delta_j = j - mark_j[k];
-    if (batteries_on && !c.plugged && delta_j > 0) {
-      // The activity's average power sets its Peukert derating.
-      const bool charged = c.battery.consume(delta_j, t1 - t0);
-      if (!charged && deaths_on && c.battery_empty_at < 0) c.battery_empty_at = t1;
-    }
-    if (span) {
-      // mosaiq-lint: allow(unsigned-wrap) — busy_cycles() is cumulative; cyc >= mark_cycles[k]
-      trace->phase(name, t0, t1, delta_j, cyc - mark_cycles[k], k);
-    }
-    mark_j[k] = j;
-    mark_cycles[k] = cyc;
-  };
-
   // Battery-aware scheduler (server side): built only when asked for,
   // so disabled fleets never pay the density-grid construction.
   std::optional<BatteryScheduler> sched;
   if (fleet.scheduler.enabled) {
     sched.emplace(dataset, base, fleet.scheduler, fleet.clients);
   }
+
+  // Every client runs the same machine and radio: one copy of their
+  // constants.
+  const auto client_constants = std::make_shared<const sim::ClientConstants>(base.client);
+  const auto nic_profile = std::make_shared<const net::NicProfile>(
+      net::NicProfile{base.nic_power, base.channel.distance_m});
+  std::vector<Client> clients(fleet.clients, Client(client_constants, nic_profile));
+
+  // Per-client state that only some fleets read, sized only when its
+  // feature is on.
+  const bool hybrid = sched || base.scheme == Scheme::FilterClientRefineServer ||
+                      base.scheme == Scheme::FilterServerRefineClient;
+  std::vector<ClientBattery> batteries(batteries_on ? fleet.clients : 0);
+  /// CPU + NIC energy when the in-flight unit was issued: the
+  /// scheduler's discharge sample.
+  std::vector<double> energy_at_issue_j(sched ? fleet.clients : 0);
+  /// The in-flight unit's candidates, kept between a hybrid scheme's
+  /// steps.  The fully-at schemes never fill a list, so they share one.
+  std::vector<std::vector<std::uint32_t>> candidates(hybrid ? fleet.clients : 0);
+  std::vector<std::uint32_t> no_candidates;
+
+  // Tracing: one track per client; spans carry the energy delta accrued
+  // by that client's CPU + NIC since its previous span on the track.
+  // The same deltas drain the client's battery, so settle() runs for
+  // every completed activity whether or not a trace is attached.
+  obs::TraceSink* trace = fleet.trace;
+  std::vector<SettleMark> marks(trace != nullptr || batteries_on ? fleet.clients : 0);
+  auto settle = [&](std::uint32_t k, const char* name, double t0, double t1) {
+    const bool span = trace != nullptr && t1 > t0;
+    // mosaiq-lint: allow(rng-stream-balance) — the only engines in scope are
+    // build_inputs' per-client engines below, freshly seeded per client; no
+    // shared stream crosses this early return.
+    if (!span && !batteries_on) return;
+    const Client& c = clients[k];
+    SettleMark& mark = marks[k];
+    const double j = c.cpu.energy().total_j() + c.nic.total_joules();
+    const std::uint64_t cyc = c.cpu.busy_cycles();
+    const double delta_j = j - mark.j;
+    if (batteries_on && !batteries[k].plugged && delta_j > 0) {
+      // The activity's average power sets its Peukert derating.
+      const bool charged = batteries[k].battery.consume(delta_j, t1 - t0);
+      if (!charged && deaths_on && batteries[k].empty_at < 0) batteries[k].empty_at = t1;
+    }
+    if (span) {
+      // mosaiq-lint: allow(unsigned-wrap) — busy_cycles() is cumulative; cyc >= mark.cycles
+      trace->phase(name, t0, t1, delta_j, cyc - mark.cycles, k);
+    }
+    mark = {j, cyc};
+  };
 
   // Zipf-skewed hotspots: with fleet.hotspots > 0 each client inverts a
   // seeded uniform draw against this CDF to pick one of a few SHARED
@@ -237,31 +303,25 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       fleet.hotspots > 0 ? zipf_cdf(fleet.hotspots, fleet.zipf_theta)
                          : std::vector<double>{};
 
-  // The shared work-unit pool: client k's own workload first, then
-  // (replication-1) backup copies of its neighbours' units appended
+  // The shared work-unit pool: client k's own workload at ids
+  // [k * queries_per_client, (k + 1) * queries_per_client), then
+  // (replication-1) backup copies of its neighbours' units queued
   // behind it.  Backups whose original was already answered cost
   // nothing at issue time (the server says "done, skip").
-  std::vector<WorkUnit> units;
-  units.reserve(static_cast<std::size_t>(fleet.clients) * fleet.queries_per_client);
+  std::vector<WorkUnit> units(std::size_t{fleet.clients} * fleet.queries_per_client);
+  /// Each battery's starting charge, kept for the scheduler's admit.
+  std::vector<double> initial_charge(sched && batteries_on ? fleet.clients : 0);
 
-  // Pending events, earliest first under Event's (time, kind, id) order.
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::uint32_t alive = fleet.clients;
-  std::vector<ClientDeath> deaths;
-  std::uint64_t duplicate_answers = 0;
-  std::uint64_t reassignments = 0;
-
-  for (std::uint32_t k = 0; k < fleet.clients; ++k) {
-    Client& c = clients[k];
-    c.cpu = std::make_unique<sim::ClientCpu>(client_constants);
-    c.nic = net::Nic(base.nic_power, base.channel.distance_m);
+  // A client's inputs (query stream, hotspot draw, departure time and
+  // battery provisioning) are pure functions of (seed, k), independent
+  // of fleet size and event order, so the shared pool builds them
+  // straight into their places, kInputChunk clients per job.
+  auto build_inputs = [&](std::uint32_t k) {
     std::uint64_t stream = k;
     // mosaiq-lint: allow(rng-stream-balance) — the engine lives inside the
-    // branch and is re-seeded from (seed, k) every iteration; skipping it
+    // branch and is re-seeded from (seed, k) for every client; skipping it
     // cannot desynchronize any stream that outlives the branch.
     if (!hotspot_cdf.empty()) {
-      // Pure function of (workload_seed, k): the hotspot a client asks
-      // is independent of fleet size and event order.
       rng::LazyMt19937_64 rng(fleet.workload_seed * 0x9e3779b97f4a7c15ULL + k);
       std::uniform_real_distribution<double> uniform(0.0, 1.0);
       const auto it =
@@ -269,18 +329,15 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       stream = static_cast<std::uint64_t>(it - hotspot_cdf.begin());
     }
     workload::QueryGen gen(dataset, fleet.workload_seed * 1000 + stream);
-    for (rtree::Query& q : gen.batch(fleet.query_kind, fleet.queries_per_client)) {
-      const auto id = static_cast<std::uint32_t>(units.size());
-      units.push_back(WorkUnit{std::move(q), k, false, false, 1, 0});
-      c.work.push_back(id);
+    for (std::uint32_t i = 0; i < fleet.queries_per_client; ++i) {
+      units[std::size_t{k} * fleet.queries_per_client + i] =
+          WorkUnit{gen.query(fleet.query_kind), k, false, false, 1, 0};
     }
-    c.departs_at = net::scheduled_departure_s(fleet.churn, k);
+    clients[k].departs_at = net::scheduled_departure_s(fleet.churn, k);
     // mosaiq-lint: allow(rng-stream-balance) — the engine lives inside the
-    // branch and is re-seeded from (seed, k) every iteration; skipping it
+    // branch and is re-seeded from (seed, k) for every client; skipping it
     // cannot desynchronize any stream that outlives the branch.
     if (batteries_on) {
-      // Per-client provisioning stream: a pure function of (seed, k),
-      // independent of fleet size and event order.
       rng::LazyMt19937_64 rng(fleet.battery.seed * 0x9e3779b97f4a7c15ULL + k + 1);
       std::uniform_real_distribution<double> uniform(0.0, 1.0);
       sim::BatteryConfig pack = fleet.battery.pack;
@@ -289,17 +346,47 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       const double lo = std::clamp(fleet.battery.min_initial_charge, 0.0, 1.0);
       const double hi = std::clamp(fleet.battery.max_initial_charge, lo, 1.0);
       const double charge = lo + (hi - lo) * uniform(rng);
-      c.plugged = uniform(rng) < fleet.battery.plugged_fraction;
-      c.battery = sim::Battery(pack, charge);
-      if (sched) sched->admit(k, c.plugged, charge, pack.rated_joules());
+      ClientBattery& b = batteries[k];
+      b.plugged = uniform(rng) < fleet.battery.plugged_fraction;
+      b.battery = sim::Battery(pack, charge);
+      if (sched) initial_charge[k] = charge;
+    }
+  };
+  perf::ThreadPool::shared().run(
+      (std::size_t{fleet.clients} + kInputChunk - 1) / kInputChunk, [&](std::size_t chunk) {
+        const std::size_t end = std::min<std::size_t>(fleet.clients, (chunk + 1) * kInputChunk);
+        for (std::size_t k = chunk * kInputChunk; k < end; ++k) {
+          build_inputs(static_cast<std::uint32_t>(k));
+        }
+      });
+
+  // Pending events, earliest first under Event's (time, kind, id) order.
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  std::uint32_t alive = fleet.clients;
+  std::vector<ClientDeath> deaths;
+  std::uint64_t duplicate_answers = 0;
+  std::uint64_t reassignments = 0;
+
+  // Wire the clients up in k order: queue their own units, admit them
+  // to the scheduler, settle the start-up stagger and push their first
+  // events.
+  WorkLinks links(units.size() * replication);
+  for (std::uint32_t k = 0; k < fleet.clients; ++k) {
+    Client& c = clients[k];
+    for (std::uint32_t i = 0; i < fleet.queries_per_client; ++i) {
+      links.push_back(c.work, k * fleet.queries_per_client + i);
+    }
+    if (sched && batteries_on) {
+      const ClientBattery& b = batteries[k];
+      sched->admit(k, b.plugged, initial_charge[k], b.battery.config().rated_joules());
     }
     // Clients start staggered by a fraction of the think time so the
     // first round does not collide artificially.
-    c.ready_at = fleet.think_time_s * static_cast<double>(k) /
-                 std::max(1u, fleet.clients);
-    c.nic.spend(net::NicState::Sleep, c.ready_at);
-    settle(k, "stagger", 0.0, c.ready_at);
-    events.push(Event{c.ready_at, k, kClientStage});
+    const double start =
+        fleet.think_time_s * static_cast<double>(k) / std::max(1u, fleet.clients);
+    c.nic.spend(net::NicState::Sleep, start);
+    settle(k, "stagger", 0.0, start);
+    events.push(Event{start, k, kClientStage});
     if (std::isfinite(c.departs_at)) events.push(Event{c.departs_at, k, kDeparture});
   }
   for (std::uint32_t k = 0; replication > 1 && k < fleet.clients; ++k) {
@@ -308,16 +395,16 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       for (std::uint32_t i = 0; i < fleet.queries_per_client; ++i) {
         const std::uint32_t id = peer * fleet.queries_per_client + i;
         units[id].live_replicas += 1;
-        clients[k].work.push_back(id);
+        links.push_back(clients[k].work, id);
       }
     }
   }
 
-  // The in-flight unit's Table-1 steps: the same executor the Session
-  // runs, with the candidates parked on the client between stages.
-  auto steps_of = [&](Client& c, Scheme scheme) {
-    return SchemeSteps(dataset, units[c.current].query, scheme, base.placement.data_at_client,
-                       c.candidates);
+  // Client k's in-flight unit's Table-1 steps: the same executor the
+  // Session runs, with the candidates parked between stages.
+  auto steps_of = [&](std::uint32_t k, Scheme scheme) {
+    return SchemeSteps(dataset, units[clients[k].current].query, scheme,
+                       base.placement.data_at_client, hybrid ? candidates[k] : no_candidates);
   };
 
   // --- event loop -------------------------------------------------------
@@ -325,6 +412,10 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // medium-for-rx, 4 completion/unpack.
   double makespan = 0;
   std::vector<double> latencies;  ///< one per answered unit, fleet-wide
+  latencies.reserve(units.size());
+  // Clients neither dead nor parked.  The mission is over once every
+  // unit is resolved and this reaches zero.
+  std::uint32_t busy = fleet.clients;
 
   // Drops one replica of unit `u`; when that was the last live copy of
   // an unanswered unit, re-hand it to a survivor at `when` (the server
@@ -353,6 +444,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     Client& c = clients[k];
     if (c.dead) return;
     c.dead = true;
+    if (!c.idle) --busy;
     --alive;
     deaths.push_back({now, k, cause});
     if (trace != nullptr) trace->counter("client-deaths", 1);
@@ -361,8 +453,9 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       c.active = false;
       release_replica(c.current, now + detection_s);
     }
-    for (const std::uint32_t u : c.work) release_replica(u, now + detection_s);
-    c.work.clear();
+    for (; !c.work.empty(); links.pop_front(c.work)) {
+      release_replica(links.front(c.work), now + detection_s);
+    }
   };
 
   // Completes the in-flight unit at `done`: first answer wins, later
@@ -385,10 +478,17 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     c.active = false;
     if (sched) {
       const double spent_j =
-          c.cpu->energy().total_j() + c.nic.total_joules() - c.energy_at_issue_j;
+          c.cpu.energy().total_j() + c.nic.total_joules() - energy_at_issue_j[k];
       sched->observe_draw(k, spent_j, done - c.issue_time);
     }
     makespan = std::max(makespan, done);
+  };
+
+  // Parks a live, busy client out of pending work at `since`.
+  auto park = [&](Client& c, double since) {
+    c.idle = true;
+    c.parked_since = since;
+    --busy;
   };
 
   // Schedules the client's next pop: think then issue when work is
@@ -401,8 +501,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       settle(k, "think", done, done + fleet.think_time_s);
       events.push(Event{done + fleet.think_time_s, k, kClientStage});
     } else {
-      c.idle = true;
-      c.parked_since = done;
+      park(c, done);
     }
   };
 
@@ -421,9 +520,9 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     if (base.placement.data_at_client) {
       ++degraded;
       if (trace != nullptr) trace->counter("degraded-queries", 1);
-      const double busy0 = c.cpu->busy_seconds();
-      steps_of(c, Scheme::FullyAtClient).client_w1(*c.cpu, c.answers);
-      const double dt = c.cpu->busy_seconds() - busy0;
+      const double busy0 = c.cpu.busy_seconds();
+      steps_of(k, Scheme::FullyAtClient).client_w1(c.cpu, c.answers);
+      const double dt = c.cpu.busy_seconds() - busy0;
       c.nic.spend(net::NicState::Sleep, dt);
       done = now + dt;
       settle(k, "degraded-local", now, done);
@@ -449,7 +548,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     const bool up = c.stage == 1;
     const double start = std::max(now, medium_free);
     c.nic.spend(net::NicState::Idle, start - now);
-    c.cpu->wait_seconds(start - now, base.wait_policy);
+    c.cpu.wait_seconds(start - now, base.wait_policy);
     settle(k, "medium-wait", now, start);
     if (trace != nullptr) trace->counter("medium-wait-s", start - now);
     // The radio wakes to send; as in the transport, the CPU is not
@@ -458,7 +557,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     const MessageLeg leg =
         price_leg(up, up ? c.request_bytes : c.response_bytes, base.protocol, bits_per_s,
                   fault ? &*fault : nullptr, base.retry, air_from);
-    const double end = air_from + book_leg(leg, c.nic, *c.cpu, base.wait_policy);
+    const double end = air_from + book_leg(leg, c.nic, c.cpu, base.wait_policy);
     medium_free = end;  // the retransmission episode holds the channel
     medium_busy += leg.air_s + leg.ack_s;
     settle(k, up ? "tx" : "rx", start, end);
@@ -480,7 +579,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   auto survivor_key = [&](std::uint32_t k) {
     const Client& c = clients[k];
     if (c.dead) return SurvivorIndex::kNone;
-    const std::uint64_t load = c.work.size() + (c.active ? 1 : 0);
+    const std::uint64_t load = c.work.size + (c.active ? 1 : 0);
     return load << 32 | k;
   };
   std::optional<SurvivorIndex> survivors;
@@ -505,7 +604,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     ++reassignments;
     if (trace != nullptr) trace->counter("reassignments", 1);
     Client& c = clients[best];
-    c.work.push_back(u);
+    links.push_back(c.work, u);
     survivors->set(best, survivor_key(best));
     if (c.idle && !c.wake_pending) {
       c.wake_pending = true;
@@ -513,13 +612,18 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     }
   };
 
+  // True once client k's battery hit its cutoff, which kills it.
+  auto battery_died = [&](std::uint32_t k) {
+    return deaths_on && batteries[k].empty_at >= 0;
+  };
+
   // One client event: drop it if stale, fire a death that is due,
   // wake a parked client, or advance the client one stage.
   auto handle_client_event = [&](const Event& ev) {
     Client& c = clients[ev.id];
     if (c.dead) return;  // stale event for a departed client
-    if (c.battery_empty_at >= 0) {
-      kill_client(ev.id, c.battery_empty_at, DeathCause::Battery);
+    if (battery_died(ev.id)) {
+      kill_client(ev.id, batteries[ev.id].empty_at, DeathCause::Battery);
       return;
     }
     if (ev.kind == kDeparture || ev.time >= c.departs_at) {
@@ -534,6 +638,7 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       c.nic.spend(net::NicState::Sleep, ev.time - c.parked_since);
       settle(ev.id, "parked", c.parked_since, ev.time);
       c.idle = false;
+      ++busy;
       c.stage = 0;
     }
 
@@ -541,37 +646,37 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
       case 0: {
         // Units answered by another replica are skipped for free: the
         // issue handshake learns "already done" before any work runs.
-        while (!c.work.empty() && units[c.work.front()].answered) {
-          release_replica(c.work.front(), ev.time);
-          c.work.pop_front();
+        while (!c.work.empty() && units[links.front(c.work)].answered) {
+          release_replica(links.front(c.work), ev.time);
+          links.pop_front(c.work);
         }
         if (c.work.empty()) {
-          c.idle = true;
-          c.parked_since = ev.time;
+          park(c, ev.time);
           break;
         }
-        c.current = c.work.front();
-        c.work.pop_front();
+        c.current = links.front(c.work);
+        links.pop_front(c.work);
         c.active = true;
         c.issue_time = ev.time;
         c.answers_at_issue = c.answers;
-        c.energy_at_issue_j = c.cpu->energy().total_j() + c.nic.total_joules();
         if (sched) {
+          energy_at_issue_j[ev.id] = c.cpu.energy().total_j() + c.nic.total_joules();
           // The request piggybacks the current charge; the server
           // answers with the scheme, spending its own cycles on the
           // planner probe (the decision moved off-device).
-          sched->report_charge(ev.id, batteries_on ? c.battery.remaining_fraction() : 1.0);
+          sched->report_charge(
+              ev.id, batteries_on ? batteries[ev.id].battery.remaining_fraction() : 1.0);
           c.scheme = sched->choose(ev.id, units[c.current].query, server);
         } else {
           c.scheme = base.scheme;
         }
         // w1, then (remote schemes) the request's protocol work.
-        const double busy0 = c.cpu->busy_seconds();
-        c.request_bytes = steps_of(c, c.scheme).client_w1(*c.cpu, c.answers);
+        const double busy0 = c.cpu.busy_seconds();
+        c.request_bytes = steps_of(ev.id, c.scheme).client_w1(c.cpu, c.answers);
         if (uses_server(c.scheme)) {
-          net::charge_protocol_tx(net::wire_cost(c.request_bytes, base.protocol), *c.cpu);
+          net::charge_protocol_tx(net::wire_cost(c.request_bytes, base.protocol), c.cpu);
         }
-        const double dt = c.cpu->busy_seconds() - busy0;
+        const double dt = c.cpu.busy_seconds() - busy0;
         c.nic.spend(net::NicState::Sleep, dt);
         settle(ev.id, "w1-compute", ev.time, ev.time + dt);
         if (!uses_server(c.scheme)) {
@@ -594,23 +699,23 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
         if (trace != nullptr) trace->counter("server-queue-wait-s", start - ev.time);
         const double dt = serve(
             server, base.protocol, c.request_bytes,
-            [&](sim::ServerCpu& s) { return steps_of(c, c.scheme).server_w2(s, c.answers); },
+            [&](sim::ServerCpu& s) { return steps_of(ev.id, c.scheme).server_w2(s, c.answers); },
             c.response_bytes);
         const double end = start + dt;
         server_free = end;
         server_busy += dt;
         c.nic.spend(net::NicState::Idle, end - ev.time);
-        c.cpu->wait_seconds(end - ev.time, base.wait_policy);
+        c.cpu.wait_seconds(end - ev.time, base.wait_policy);
         settle(ev.id, "server-work", start, end);
         c.stage = 3;
         events.push(Event{end, ev.id, kClientStage});
         break;
       }
       case 4: {  // unpack, w3, complete
-        const double busy0 = c.cpu->busy_seconds();
-        net::charge_protocol_rx(net::wire_cost(c.response_bytes, base.protocol), *c.cpu);
-        steps_of(c, c.scheme).client_w3(*c.cpu, c.answers);
-        const double dt = c.cpu->busy_seconds() - busy0;
+        const double busy0 = c.cpu.busy_seconds();
+        net::charge_protocol_rx(net::wire_cost(c.response_bytes, base.protocol), c.cpu);
+        steps_of(ev.id, c.scheme).client_w3(c.cpu, c.answers);
+        const double dt = c.cpu.busy_seconds() - busy0;
         c.nic.spend(net::NicState::Sleep, dt);
         const double done = ev.time + dt;
         settle(ev.id, "w3-unpack", ev.time, done);
@@ -624,26 +729,16 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
     // A battery that hit the cutoff during this stage kills the client
     // now, so its queue is orphaned at the death time rather than at
     // whenever its next event would have popped.
-    if (!c.dead && c.battery_empty_at >= 0) {
-      kill_client(ev.id, c.battery_empty_at, DeathCause::Battery);
+    if (!c.dead && battery_died(ev.id)) {
+      kill_client(ev.id, batteries[ev.id].empty_at, DeathCause::Battery);
     }
   };
 
-  while (!events.empty()) {
-    // Mission over: every unit is answered or lost and nobody is
-    // mid-exchange.  Stop before draining the remaining (departure)
-    // events — a client leaving AFTER the fleet's work is done is
-    // retirement, not a death the survival curve should chart.
-    if (unresolved == 0) {
-      bool quiescent = true;
-      for (const Client& peer : clients) {
-        if (!peer.dead && !peer.idle) {
-          quiescent = false;
-          break;
-        }
-      }
-      if (quiescent) break;
-    }
+  // Mission over: every unit is answered or lost and every live client
+  // is parked.  Stop before draining the remaining (departure) events —
+  // a client leaving AFTER the fleet's work is done is retirement, not a
+  // death the survival curve should chart.
+  while (!events.empty() && (unresolved > 0 || busy > 0)) {
     const Event ev = events.top();
     events.pop();
     if (ev.kind == kReassign) {
@@ -657,9 +752,10 @@ FleetOutcome run_fleet(const workload::Dataset& dataset, const SessionConfig& ba
   // --- aggregate ----------------------------------------------------------
   FleetOutcome out;
   out.makespan_s = makespan;
+  out.client_energy_j.reserve(clients.size());
   double energy = 0;
   for (const Client& c : clients) {
-    const double client_j = c.cpu->energy().total_j() + c.nic.total_joules();
+    const double client_j = c.cpu.energy().total_j() + c.nic.total_joules();
     out.client_energy_j.push_back(client_j);
     energy += client_j;
     out.answers += c.answers;

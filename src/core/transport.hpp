@@ -211,7 +211,7 @@ class Transport {
         client_(cfg.client),
         server_(cfg.server),
         nic_(cfg.nic_power, cfg.channel.distance_m),
-        off_nic_(cfg.nic_power, cfg.channel.distance_m) {
+        off_nic_(nic_.profile()) {
     if (cfg.fault.enabled()) fault_.emplace(cfg.fault);
   }
 

@@ -3,11 +3,12 @@
 namespace mosaiq::net {
 
 double Nic::state_mw(NicState s) const {
+  const NicPowerModel& power = profile_->power;
   switch (s) {
-    case NicState::Transmit: return power_.tx_mw(distance_m_);
-    case NicState::Receive: return power_.rx_mw;
-    case NicState::Idle: return power_.idle_mw;
-    case NicState::Sleep: return power_.sleep_mw;
+    case NicState::Transmit: return power.tx_mw(profile_->distance_m);
+    case NicState::Receive: return power.rx_mw;
+    case NicState::Idle: return power.idle_mw;
+    case NicState::Sleep: return power.sleep_mw;
   }
   return 0.0;
 }
@@ -21,8 +22,8 @@ void Nic::spend(NicState state, double seconds) {
 double Nic::sleep_exit() {
   // The radio settles through its synthesizer power-up; charge the exit
   // window at idle power (it is not yet receiving or transmitting).
-  spend(NicState::Idle, power_.sleep_exit_s);
-  return power_.sleep_exit_s;
+  spend(NicState::Idle, profile_->power.sleep_exit_s);
+  return profile_->power.sleep_exit_s;
 }
 
 double Nic::total_joules() const {

@@ -6,12 +6,16 @@
 // transitions to RECEIVE instantly.  Transmit power depends on the
 // distance to the base station through a first-order radio model fitted
 // to the paper's two published points (1089.1 mW @ 100 m, 3089.1 mW
-// @ 1 km): P_tx(d) = P_elec + k·d².
+// @ 1 km): P_tx(d) = P_elec + k·d².  The power model and the distance
+// live in one immutable NicProfile that every radio of a configuration
+// can share, as a transport's two radios and the fleet's radios do.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 namespace mosaiq::net {
 
@@ -43,11 +47,20 @@ struct NicPowerModel {
   }
 };
 
+/// What every radio of one configuration shares; immutable once built.
+struct NicProfile {
+  NicPowerModel power;
+  double distance_m = 1000.0;
+};
+
 /// Accumulates time and energy per NIC state.
 class Nic {
  public:
-  Nic() = default;
-  Nic(const NicPowerModel& power, double distance_m) : power_(power), distance_m_(distance_m) {}
+  /// A radio with its own profile.
+  Nic(const NicPowerModel& power, double distance_m)
+      : profile_(std::make_shared<const NicProfile>(NicProfile{power, distance_m})) {}
+  /// A radio sharing `profile` with other radios of the same configuration.
+  explicit Nic(std::shared_ptr<const NicProfile> profile) : profile_(std::move(profile)) {}
 
   /// Spend `seconds` in `state`.
   void spend(NicState state, double seconds);
@@ -59,15 +72,15 @@ class Nic {
   double seconds_in(NicState s) const { return seconds_[idx(s)]; }
   double joules_in(NicState s) const { return joules_[idx(s)]; }
   double total_joules() const;
-  double distance_m() const { return distance_m_; }
-  const NicPowerModel& power() const { return power_; }
+  double distance_m() const { return profile_->distance_m; }
+  const NicPowerModel& power() const { return profile_->power; }
+  const std::shared_ptr<const NicProfile>& profile() const { return profile_; }
 
  private:
   static constexpr std::size_t idx(NicState s) { return static_cast<std::size_t>(s); }
   double state_mw(NicState s) const;
 
-  NicPowerModel power_{};
-  double distance_m_ = 1000.0;
+  std::shared_ptr<const NicProfile> profile_;
   std::array<double, 4> seconds_{};
   std::array<double, 4> joules_{};
 };

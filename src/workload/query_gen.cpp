@@ -90,18 +90,21 @@ rtree::RangeQuery QueryGen::range_query_near(const geom::Point& center, double j
                       std::exp(log_aspect(rng_)))};
 }
 
+rtree::Query QueryGen::query(rtree::QueryKind kind) {
+  switch (kind) {
+    case rtree::QueryKind::Point: return point_query();
+    case rtree::QueryKind::Range: return range_query();
+    case rtree::QueryKind::NN: return nn_query();
+    case rtree::QueryKind::Knn: return knn_query(8);
+    case rtree::QueryKind::Route: return route_query();
+  }
+  throw std::invalid_argument("QueryGen: unknown query kind");
+}
+
 std::vector<rtree::Query> QueryGen::batch(rtree::QueryKind kind, std::size_t n) {
   std::vector<rtree::Query> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (kind) {
-      case rtree::QueryKind::Point: out.emplace_back(point_query()); break;
-      case rtree::QueryKind::Range: out.emplace_back(range_query()); break;
-      case rtree::QueryKind::NN: out.emplace_back(nn_query()); break;
-      case rtree::QueryKind::Knn: out.emplace_back(knn_query(8)); break;
-      case rtree::QueryKind::Route: out.emplace_back(route_query()); break;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) out.push_back(query(kind));
   return out;
 }
 

@@ -46,6 +46,10 @@ class QueryGen {
   rtree::RangeQuery range_query_near(const geom::Point& center, double jitter_radius,
                                      double area_lo = 1e-4, double area_hi = 1e-2);
 
+  /// The next query of `kind` (kNN with k = 8); batch(kind, n) is n of
+  /// these.
+  rtree::Query query(rtree::QueryKind kind);
+
   std::vector<rtree::Query> batch(rtree::QueryKind kind, std::size_t n);
 
   /// Batch of kNN queries with a fixed k.

@@ -46,6 +46,7 @@ namespace {
 
 using test_support::expect_bit_identical;
 using test_support::expect_bits;
+using test_support::expect_fleet_bit_identical;
 
 /// The shared BuildCache holds the dataset, exactly as the figure
 /// harnesses do since the perf layer landed — so every determinism pin
@@ -658,44 +659,6 @@ TEST(Determinism, FaultyLinkBatchesBitIdentical) {
     EXPECT_GT(a.outcome.retransmissions + a.outcome.timeouts, 0u);
     EXPECT_EQ(a.trace_json, b.trace_json);
     EXPECT_EQ(a.metrics_csv, b.metrics_csv);
-  }
-}
-
-/// Every FleetOutcome field compared as bits (doubles) or exact values,
-/// including the death log and per-client energy vectors.
-void expect_fleet_bit_identical(const core::FleetOutcome& a, const core::FleetOutcome& b) {
-  expect_bits(a.makespan_s, b.makespan_s, "makespan_s");
-  expect_bits(a.mean_latency_s, b.mean_latency_s, "mean_latency_s");
-  expect_bits(a.p95_latency_s, b.p95_latency_s, "p95_latency_s");
-  expect_bits(a.mean_client_energy_j, b.mean_client_energy_j, "mean_client_energy_j");
-  expect_bits(a.medium_utilization, b.medium_utilization, "medium_utilization");
-  expect_bits(a.server_utilization, b.server_utilization, "server_utilization");
-  EXPECT_EQ(a.answers, b.answers);
-  EXPECT_EQ(a.queries_degraded, b.queries_degraded);
-  EXPECT_EQ(a.queries_failed, b.queries_failed);
-  EXPECT_EQ(a.retransmissions, b.retransmissions);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  expect_bits(a.wasted_tx_j, b.wasted_tx_j, "wasted_tx_j");
-  expect_bits(a.wasted_rx_j, b.wasted_rx_j, "wasted_rx_j");
-  EXPECT_EQ(a.clients_alive, b.clients_alive);
-  EXPECT_EQ(a.deaths_battery, b.deaths_battery);
-  EXPECT_EQ(a.deaths_departed, b.deaths_departed);
-  EXPECT_EQ(a.units_total, b.units_total);
-  EXPECT_EQ(a.units_answered, b.units_answered);
-  EXPECT_EQ(a.units_lost, b.units_lost);
-  EXPECT_EQ(a.duplicate_answers, b.duplicate_answers);
-  EXPECT_EQ(a.reassignments, b.reassignments);
-  expect_bits(a.energy_fairness, b.energy_fairness, "energy_fairness");
-  expect_bits(a.answer_completeness, b.answer_completeness, "answer_completeness");
-  ASSERT_EQ(a.deaths.size(), b.deaths.size());
-  for (std::size_t i = 0; i < a.deaths.size(); ++i) {
-    expect_bits(a.deaths[i].time_s, b.deaths[i].time_s, "death time");
-    EXPECT_EQ(a.deaths[i].client, b.deaths[i].client);
-    EXPECT_EQ(a.deaths[i].cause, b.deaths[i].cause);
-  }
-  ASSERT_EQ(a.client_energy_j.size(), b.client_energy_j.size());
-  for (std::size_t k = 0; k < a.client_energy_j.size(); ++k) {
-    expect_bits(a.client_energy_j[k], b.client_energy_j[k], "client_energy_j");
   }
 }
 

@@ -2,13 +2,19 @@
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/fleet.hpp"
 #include "net/fault.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "outcome_bits.hpp"
 #include "perf/config_hash.hpp"
+#include "stats/parallel.hpp"
 #include "workload/query_gen.hpp"
 
 namespace mosaiq::core {
@@ -390,6 +396,59 @@ TEST(Fleet, ReassignmentChoicesMatchGoldenValues) {
   EXPECT_EQ(o.clients_alive, 1701u);
   EXPECT_EQ(o.answers, 4000u);
   EXPECT_EQ(outcome_digest(o), 0xd42f97797ea68121ull);
+}
+
+TEST(Fleet, PooledSetUpMatchesInline) {
+  // run_fleet builds its clients' inputs on the shared pool.  At top
+  // level the pool's threads share the work; inside a pool job the same
+  // build runs inline on one thread.  Both must give the same bits,
+  // trace and metrics bytes included.  The fleet spans three input
+  // chunks and runs every path whose inputs the pool builds: hotspot
+  // draws, departures, battery provisioning and the scheduler's admit.
+  SessionConfig cfg = base_config(Scheme::FullyAtServer);
+  cfg.fault = net::bursty_loss_config(0.05, 4);
+  FleetConfig f;
+  f.clients = 2500;
+  f.queries_per_client = 2;
+  f.think_time_s = 1.0;
+  f.query_kind = rtree::QueryKind::Point;
+  f.hotspots = 64;
+  f.churn.departure_rate_per_s = 0.02;
+  f.churn.seed = 5;
+  f.replication = 2;
+  f.battery.enabled = true;
+  f.battery.seed = 6;
+  f.scheduler.enabled = true;
+  struct Run {
+    FleetOutcome outcome;
+    std::string trace_json;
+    std::string metrics_csv;
+  };
+  auto run = [&] {
+    obs::TraceSink sink;
+    FleetConfig traced = f;
+    traced.trace = &sink;
+    Run r;
+    r.outcome = run_fleet(data(), cfg, traced);
+    std::ostringstream json;
+    obs::write_chrome_trace(json, sink);
+    r.trace_json = json.str();
+    std::ostringstream csv;
+    obs::write_metrics(csv, sink, nullptr);
+    r.metrics_csv = csv.str();
+    return r;
+  };
+  const Run pooled = run();
+  // Two jobs, so each runs inside a batch: on a worker or on the
+  // submitting thread, where a nested run executes inline.
+  const std::vector<Run> nested = stats::parallel_map<Run>(2, [&](std::size_t) { return run(); });
+  EXPECT_GT(pooled.outcome.deaths.size(), 0u);
+  EXPECT_GT(pooled.outcome.reassignments, 0u);
+  for (const Run& r : nested) {
+    test_support::expect_fleet_bit_identical(pooled.outcome, r.outcome);
+    EXPECT_EQ(pooled.trace_json, r.trace_json);
+    EXPECT_EQ(pooled.metrics_csv, r.metrics_csv);
+  }
 }
 
 TEST(Fleet, PluggedClientsNeverDieOfExhaustion) {
