@@ -30,17 +30,16 @@ cmake --build --preset default -j"$(nproc)"
 echo "==> ctest (default preset)"
 ctest --preset default -j"$(nproc)"
 
-echo "==> mosaiq-lint over src/ tools/ bench/ tests/ (full matrix, --threads)"
+echo "==> mosaiq-lint over src/ tools/ bench/ tests/ (full matrix)"
 # One invocation so cross-file annotations (header -> cpp) are honored;
 # tests/lint_fixtures seeds violations on purpose, so tests/ contributes
-# its top-level suites only.  A SARIF artifact (findings + fix-it data)
-# lands in build/lint.sarif for CI upload regardless of findings; the
-# plain run is the gate.  --threads output is byte-identical to serial
-# (lint_threads_deterministic gates that), so parallelism is free here.
-./build/tools/lint/mosaiq-lint --sarif --threads "$(nproc)" src tools bench \
+# its top-level suites only (ctest's lint_all lints the same set).  A
+# SARIF artifact (findings + fix-it data) lands in build/lint.sarif for
+# CI upload regardless of findings; the plain run is the gate.
+./build/tools/lint/mosaiq-lint --sarif src tools bench \
   $(find tests -maxdepth 1 \( -name '*.cpp' -o -name '*.hpp' \)) \
   > build/lint.sarif || true
-./build/tools/lint/mosaiq-lint --threads "$(nproc)" src tools bench \
+./build/tools/lint/mosaiq-lint src tools bench \
   $(find tests -maxdepth 1 \( -name '*.cpp' -o -name '*.hpp' \))
 
 echo "==> mosaiq-lint --json/--sarif schema stability"

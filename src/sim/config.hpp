@@ -23,11 +23,6 @@ struct ClientConfig {
   std::uint32_t cache_hit_cycles = 1;
   std::uint32_t mem_latency_cycles = 100;
 
-  std::uint64_t memory_bytes = 32ull << 20;
-
-  double supply_v = 3.3;     ///< see energy_scale; 3.3 V is the Table-3 nominal
-  double feature_um = 0.35;  ///< informational
-
   /// Multiplier applied to every per-event dynamic energy (DVFS: V²
   /// relative to the 3.3 V nominal — see sim/dvfs.hpp).
   double energy_scale = 1.0;
@@ -71,7 +66,6 @@ struct ServerConfig {
   double clock_mhz = 1000.0;
   std::uint32_t issue_width = 4;
 
-  CacheConfig l1i{32 * 1024, 2, 64};
   CacheConfig l1d{32 * 1024, 2, 64};
   CacheConfig l2{1024 * 1024, 2, 128};
 
@@ -81,8 +75,6 @@ struct ServerConfig {
   std::uint32_t tlb_entries = 64;
   std::uint32_t page_bytes = 4096;
   std::uint32_t tlb_miss_cycles = 30;
-
-  std::uint64_t memory_bytes = 128ull << 20;
 
   /// Fraction of memory stall cycles hidden by out-of-order execution
   /// (RUU 64 / LSQ 32 gives substantial but not total overlap).

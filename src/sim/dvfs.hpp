@@ -47,7 +47,6 @@ inline ClientConfig client_at_opp(const OperatingPoint& opp,
   ClientConfig cfg = nominal;
   const double fscale = opp.clock_mhz / nominal.clock_mhz;
   cfg.clock_mhz = opp.clock_mhz;
-  cfg.supply_v = opp.supply_v;
   cfg.energy_scale = opp.energy_scale();
   cfg.blocked_wait_w *= fscale * opp.energy_scale();
   cfg.lowpower_wait_w *= fscale * opp.energy_scale();

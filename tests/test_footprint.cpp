@@ -126,6 +126,8 @@ TEST(FleetFootprint, HeapPerAddedClientIsBounded) {
   constexpr std::uint32_t kClients = 2000;
   const Footprint one = footprint(kClients);
   const Footprint two = footprint(2 * kClients);
+  // Twice the clients cannot peak lower.
+  ASSERT_TRUE(two.peak_bytes >= one.peak_bytes) << one.peak_bytes << " > " << two.peak_bytes;
   const auto per_client = [](double total) { return total / kClients; };
   const double allocations = per_client(static_cast<double>(two.allocations - one.allocations));
   const double blocks = per_client(static_cast<double>(two.peak_blocks - one.peak_blocks));

@@ -2,36 +2,29 @@
 // (switch fallthrough, do-while, try/catch, lambda-in-loop), the
 // forward-dataflow engine, the path-sensitive rule families (lockset,
 // rng-stream-balance, energy-ledger) against their violation/clean
-// fixture twins, the --fix edit engine end to end, the fix-carrying
-// cache format, and driver --threads determinism.
+// fixture twins, and the --fix edit engine end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "lint/cache.hpp"
 #include "lint/cfg.hpp"
 #include "lint/dataflow.hpp"
-#include "lint/driver.hpp"
 #include "lint/fix.hpp"
 #include "lint/lint.hpp"
 #include "lint/sema.hpp"
 
 using mosaiq::lint::analyze;
 using mosaiq::lint::analyze_file;
+using mosaiq::lint::analyze_program;
 using mosaiq::lint::build_cfg;
 using mosaiq::lint::build_sema;
 using mosaiq::lint::Cfg;
-using mosaiq::lint::collect_sources;
-using mosaiq::lint::DriverOptions;
 using mosaiq::lint::Finding;
 using mosaiq::lint::reachable_blocks;
-using mosaiq::lint::ResultCache;
-using mosaiq::lint::run_driver;
 using mosaiq::lint::run_rules;
 using mosaiq::lint::Sema;
 using mosaiq::lint::SourceFile;
@@ -51,9 +44,7 @@ std::vector<Finding> drive(const std::vector<std::string>& names,
                            const std::vector<std::string>& rules) {
   std::vector<std::string> paths;
   for (const std::string& n : names) paths.push_back(std::string(LINT_FIXTURES_DIR "/") + n);
-  DriverOptions opt;
-  opt.rules = rules;
-  return run_driver(paths, opt);
+  return analyze_program(paths, rules);
 }
 
 std::vector<std::size_t> lines_of(const std::vector<Finding>& fs, const std::string& rule) {
@@ -328,47 +319,6 @@ TEST(LintFix, IncludeHygieneFixConverges) { expect_fix_converges("include_fix.hp
 TEST(LintFix, UnitSuffixRenameConverges) { expect_fix_converges("sim/unit_fix.cpp"); }
 TEST(LintFix, GuardedByRequiresInsertionConverges) {
   expect_fix_converges("guarded_requires_fix.cpp");
-}
-
-TEST(LintCache, FixesSurviveTheV3RoundTrip) {
-  ResultCache c;
-  Finding f{"unit-suffix", "sim/a.cpp", 3, "msg with\ttab and\nnewline", {}};
-  f.fixes.push_back({4, 9, "energy_j"});
-  f.fixes.push_back({20, 20, "#include <vector>\n"});
-  c.store(42, {f});
-  const std::string path = ::testing::TempDir() + "mosaiq_lint_cache_v3_test";
-  ASSERT_TRUE(c.save(path));
-  ResultCache d;
-  d.load(path);
-  const std::vector<Finding>* hit = d.lookup(42);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->size(), 1u);
-  EXPECT_EQ((*hit)[0].message, f.message);
-  ASSERT_EQ((*hit)[0].fixes.size(), 2u);
-  EXPECT_EQ((*hit)[0].fixes[0].begin, 4u);
-  EXPECT_EQ((*hit)[0].fixes[0].end, 9u);
-  EXPECT_EQ((*hit)[0].fixes[0].text, "energy_j");
-  EXPECT_EQ((*hit)[0].fixes[1].text, "#include <vector>\n");
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// driver --threads
-
-TEST(LintDriver, ThreadedRunsAreByteIdenticalToSerial) {
-  const std::vector<std::string> paths = collect_sources(
-      {LINT_FIXTURES_DIR "/sema", LINT_FIXTURES_DIR "/net", LINT_FIXTURES_DIR "/core",
-       LINT_FIXTURES_DIR "/cfg"});
-  ASSERT_GT(paths.size(), 4u);
-  DriverOptions serial;
-  serial.threads = 1;
-  DriverOptions threaded;
-  threaded.threads = 4;
-  const auto a = run_driver(paths, serial);
-  const auto b = run_driver(paths, threaded);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(mosaiq::lint::format_json(a), mosaiq::lint::format_json(b));
-  EXPECT_EQ(mosaiq::lint::format_sarif(a), mosaiq::lint::format_sarif(b));
 }
 
 }  // namespace

@@ -1,27 +1,17 @@
 // The v2 analyzer's suite: symbol-aware rule families (guarded-by,
 // parallel-capture, nested-parallel, determinism-flow, unit-flow)
 // against seeded fixtures under lint_fixtures/sema|sim|xindex, run
-// through the same driver the CLI uses so cross-file index merging and
-// the incremental result cache are exercised end to end.
+// through the same one-program pass the CLI uses (analyze_program) so
+// cross-file index merging is exercised end to end.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "lint/cache.hpp"
-#include "lint/driver.hpp"
 #include "lint/lint.hpp"
 
-using mosaiq::lint::DriverOptions;
-using mosaiq::lint::DriverStats;
+using mosaiq::lint::analyze_program;
 using mosaiq::lint::Finding;
-using mosaiq::lint::run_driver;
 
 namespace {
 
@@ -29,9 +19,7 @@ std::vector<Finding> drive(const std::vector<std::string>& names,
                            const std::vector<std::string>& rules) {
   std::vector<std::string> paths;
   for (const std::string& n : names) paths.push_back(std::string(LINT_FIXTURES_DIR "/") + n);
-  DriverOptions opt;
-  opt.rules = rules;
-  return run_driver(paths, opt);
+  return analyze_program(paths, rules);
 }
 
 std::vector<std::size_t> lines_of(const std::vector<Finding>& fs, const std::string& rule) {
@@ -127,88 +115,6 @@ TEST(LintCrossFile, AloneTheCppIsQuiet) {
   // check against: conservative silence, not guesses.
   EXPECT_TRUE(
       drive({"xindex/guarded_use.cpp"}, {"guarded-by", "determinism-flow"}).empty());
-}
-
-// --- incremental cache -----------------------------------------------------
-
-class LintCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // The pid keeps this binary's whole-run ctest and its per-case
-    // ctests apart when they run concurrently.  The pointer only
-    // decorates the name; sanitizer allocators are deterministic, so
-    // the directory CAN repeat across ctest runs — every file a test
-    // reads is rewritten or removed here.
-    dir_ = ::testing::TempDir() + "lint_cache_" + std::to_string(::getpid()) + "_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
-    ASSERT_EQ(std::system(("mkdir -p " + dir_).c_str()), 0);
-    write("a.cpp", "double f(double elapsed_s) { return elapsed_s; }\n");
-    write("b.cpp", "long g(long x) { return x + 1; }\n");
-    cache_path_ = dir_ + "/cache.txt";
-    std::remove(cache_path_.c_str());
-  }
-
-  void write(const std::string& name, const std::string& text) {
-    std::ofstream out(dir_ + "/" + name, std::ios::trunc);
-    out << text;
-  }
-
-  DriverStats run() {
-    DriverOptions opt;
-    opt.cache_path = cache_path_;
-    DriverStats stats;
-    run_driver({dir_ + "/a.cpp", dir_ + "/b.cpp"}, opt, &stats);
-    return stats;
-  }
-
-  std::string dir_;
-  std::string cache_path_;
-};
-
-TEST_F(LintCacheTest, SecondRunHitsEveryFile) {
-  const DriverStats cold = run();
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cold.cache_misses, 2u);
-  const DriverStats warm = run();
-  EXPECT_EQ(warm.cache_hits, 2u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-}
-
-TEST_F(LintCacheTest, EditedFileMissesOthersStillHit) {
-  run();
-  write("b.cpp", "long g(long x) { return x + 2; }\n");
-  const DriverStats after = run();
-  EXPECT_EQ(after.cache_hits, 1u);
-  EXPECT_EQ(after.cache_misses, 1u);
-}
-
-TEST_F(LintCacheTest, AnnotationEditInvalidatesTheWholeProgram) {
-  run();
-  // New guarded field changes the cross-file index digest: every file's
-  // key changes, even untouched b.cpp.
-  write("a.cpp",
-        "class C { int mu_; int x_ MOSAIQ_GUARDED_BY(mu_) = 0; };\n"
-        "double f(double elapsed_s) { return elapsed_s; }\n");
-  const DriverStats after = run();
-  EXPECT_EQ(after.cache_hits, 0u);
-  EXPECT_EQ(after.cache_misses, 2u);
-}
-
-TEST_F(LintCacheTest, MalformedCacheIsDiscardedWholesale) {
-  run();
-  std::ofstream out(cache_path_, std::ios::trunc);
-  out << "not a cache\ngarbage\n";
-  out.close();
-  const DriverStats after = run();
-  EXPECT_EQ(after.cache_hits, 0u);
-  EXPECT_EQ(after.cache_misses, 2u);
-}
-
-TEST(LintCacheKey, RuleFilterAndVersionAreKeyed) {
-  const auto f = mosaiq::lint::analyze("k.cpp", "int x = 1;\n");
-  const auto base = mosaiq::lint::cache_key(f, {}, 7);
-  EXPECT_NE(base, mosaiq::lint::cache_key(f, {"guarded-by"}, 7));
-  EXPECT_NE(base, mosaiq::lint::cache_key(f, {}, 8));
 }
 
 }  // namespace

@@ -185,6 +185,7 @@ class PerFetchClient final : public rtree::ExecHooks {
     fetch(words);
     e_.datapath_j += static_cast<double>(words) * t_.mem_op_nj * kNanojoule;
     e_.clock_j += static_cast<double>(words) * t_.clock_nj * kNanojoule;
+    // mosaiq-lint: allow(unsigned-wrap) — bytes > 0, so last >= first
     const std::uint64_t lines = last - first + 1;
     if (words > lines) {
       e_.dcache_j += static_cast<double>(words - lines) * t_.dcache_nj * kNanojoule;

@@ -14,17 +14,6 @@ bool is_ident(const SourceFile& f, std::size_t k) {
   return k < f.code.size() && tok(f, k).kind == TokKind::Identifier;
 }
 
-/// FNV-1a over a string, continuing from h.
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  h ^= 0xff;  // separator so "ab"+"c" != "a"+"bc"
-  h *= 0x100000001b3ull;
-  return h;
-}
-
 }  // namespace
 
 const IndexedField* CrossIndex::field(const std::string& cls, const std::string& name) const {
@@ -109,17 +98,6 @@ CrossIndex build_index(const std::vector<Sema>& tus) {
       }
     }
   }
-
-  // Digest: stable over map iteration (ordered containers throughout).
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const auto& [key, e] : ix.fields) {
-    h = fnv(h, key);
-    h = fnv(h, e.guarded_by);
-    h = fnv(h, e.is_unordered ? "u" : "-");
-  }
-  for (const std::string& c : ix.thread_safe_classes) h = fnv(h, c);
-  for (const std::string& fn : ix.reaches_submit) h = fnv(h, fn);
-  ix.digest = h;
   return ix;
 }
 

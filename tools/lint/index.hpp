@@ -1,10 +1,10 @@
 // Cross-file symbol index for mosaiq-lint.
 //
-// Built once per driver run from every TU's Sema, then handed to the
-// per-file rules: a .cpp that defines `BuildCache::stats` can check the
-// MOSAIQ_GUARDED_BY annotations that live in build_cache.hpp, a range-
-// for in metrics.cpp can learn that the container it iterates is an
-// unordered member declared in trace.hpp, and a lambda handed to
+// Built once per analyze_program run from every TU's Sema, then handed
+// to the per-file rules: a .cpp that defines `BuildCache::stats` can check
+// the MOSAIQ_GUARDED_BY annotations that live in build_cache.hpp, a
+// range-for in metrics.cpp can learn that the container it iterates is
+// an unordered member declared in trace.hpp, and a lambda handed to
 // stats::parallel_map can be told that a function it calls submits to
 // the thread pool in another file.
 //
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -49,10 +48,6 @@ struct CrossIndex {
   /// Transitive closure of direct_submitters over the name-based call
   /// graph.
   std::set<std::string> reaches_submit;
-  /// FNV-1a digest of everything above: part of the incremental cache
-  /// key, so a change to an annotation in one header invalidates the
-  /// cached findings of every file that could observe it.
-  std::uint64_t digest = 0;
 
   const IndexedField* field(const std::string& cls, const std::string& name) const;
 };

@@ -170,6 +170,9 @@ const std::vector<Rule>& registry() {
   return rules;
 }
 
+namespace {
+
+/// run_rules against a caller-provided symbol model and cross-file index.
 void run_rules(const SourceFile& f, const Sema& sema, const CrossIndex& index,
                const std::vector<std::string>& rules, std::vector<Finding>& out) {
   const Suppressions sup = parse_suppressions(f);
@@ -185,6 +188,8 @@ void run_rules(const SourceFile& f, const Sema& sema, const CrossIndex& index,
     if (!sup.covers(fi)) out.push_back(std::move(fi));
   }
 }
+
+}  // namespace
 
 void run_rules(const SourceFile& f, const std::vector<std::string>& rules,
                std::vector<Finding>& out) {
@@ -211,6 +216,21 @@ std::vector<std::string> collect_sources(const std::vector<std::string>& paths) 
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
   return files;
+}
+
+std::vector<Finding> analyze_program(const std::vector<std::string>& files,
+                                     const std::vector<std::string>& rules) {
+  // Each Sema points into its SourceFile: size `sources` up front.
+  std::vector<SourceFile> sources(files.size());
+  std::vector<Sema> tus(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    sources[i] = analyze_file(files[i]);
+    tus[i] = build_sema(sources[i]);
+  }
+  const CrossIndex index = build_index(tus);
+  std::vector<Finding> out;
+  for (std::size_t i = 0; i < files.size(); ++i) run_rules(sources[i], tus[i], index, rules, out);
+  return out;
 }
 
 std::string format_human(const std::vector<Finding>& findings) {
@@ -284,44 +304,6 @@ std::string format_sarif(const std::vector<Finding>& findings) {
   }
   out += findings.empty() ? "]}]}\n" : "\n  ]}]}\n";
   return out;
-}
-
-std::string baseline_key(const Finding& f) {
-  return f.file + ": [" + f.rule + "] " + f.message;
-}
-
-std::set<std::string> parse_baseline(const std::string& text) {
-  std::set<std::string> keys;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    keys.insert(line);
-  }
-  return keys;
-}
-
-std::string format_baseline(const std::vector<Finding>& findings) {
-  std::set<std::string> keys;
-  for (const Finding& f : findings) keys.insert(baseline_key(f));
-  std::string out =
-      "# mosaiq-lint baseline: one `file: [rule] message` key per line.\n"
-      "# Findings matching a key are suppressed; the gate fails only on\n"
-      "# new findings.  Regenerate with --write-baseline.\n";
-  for (const std::string& k : keys) out += k + "\n";
-  return out;
-}
-
-std::size_t apply_baseline(const std::set<std::string>& baseline,
-                           std::vector<Finding>& findings) {
-  const std::size_t before = findings.size();
-  findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                [&](const Finding& f) {
-                                  return baseline.count(baseline_key(f)) != 0;
-                                }),
-                 findings.end());
-  return before - findings.size();  // mosaiq-lint: allow(unsigned-wrap) — remove_if only shrinks
 }
 
 }  // namespace mosaiq::lint

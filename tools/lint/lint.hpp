@@ -1,7 +1,7 @@
 // mosaiq-lint core: file model, rule registry, suppression handling,
-// and reporting.  The CLI (main.cpp) and the fixture tests
-// (tests/test_lint.cpp) both sit on this API so findings can be
-// asserted exactly, in process.
+// the one-program pass over a file set, and reporting.  The CLI
+// (main.cpp) and the fixture tests (tests/test_lint*.cpp) both sit on
+// this API so findings can be asserted exactly, in process.
 //
 // Suppressions
 //   // mosaiq-lint: allow(rule-a, rule-b)   — suppresses those rules on
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -91,17 +90,23 @@ void add_cfg_rules(std::vector<Rule>& out);
 
 /// Runs `rules` (all registered rules when empty) over the file and
 /// appends unsuppressed findings.  Builds a single-file Sema and index
-/// internally; the driver passes a repo-wide index via the overload.
+/// internally; analyze_program runs the same rules against a repo-wide
+/// index.
 void run_rules(const SourceFile& f, const std::vector<std::string>& rules,
                std::vector<Finding>& out);
-
-/// Same, with a caller-provided symbol model and cross-file index.
-void run_rules(const SourceFile& f, const Sema& sema, const CrossIndex& index,
-               const std::vector<std::string>& rules, std::vector<Finding>& out);
 
 /// Recursively collects .hpp/.cpp files under each path (a path naming
 /// a regular file is taken as-is), sorted for deterministic reports.
 std::vector<std::string> collect_sources(const std::vector<std::string>& paths);
+
+/// Analyzes `files` (paths as produced by collect_sources) as one
+/// program, in one serial pass: lexes each file and builds its symbol
+/// model, merges them into the cross-file index, then runs `rules`
+/// (all registered rules when empty) on each file in input order — so
+/// a .cpp is checked against annotations living in the headers it
+/// includes.  Throws std::runtime_error on unreadable input.
+std::vector<Finding> analyze_program(const std::vector<std::string>& files,
+                                     const std::vector<std::string>& rules);
 
 /// `file:line: [rule] message` per finding.
 std::string format_human(const std::vector<Finding>& findings);
@@ -111,22 +116,5 @@ std::string format_json(const std::vector<Finding>& findings);
 
 /// SARIF 2.1.0 log (one run, rule metadata from the registry).
 std::string format_sarif(const std::vector<Finding>& findings);
-
-/// Baseline key of a finding: `file: [rule] message` — line numbers are
-/// deliberately excluded so unrelated edits that shift a known finding
-/// do not break the gate.
-std::string baseline_key(const Finding& f);
-
-/// Parses a baseline file (one key per line; blank lines and lines
-/// starting with '#' are comments).
-std::set<std::string> parse_baseline(const std::string& text);
-
-/// Serializes findings as a baseline file, sorted and de-duplicated.
-std::string format_baseline(const std::vector<Finding>& findings);
-
-/// Removes findings whose key appears in the baseline.  Returns the
-/// number suppressed.
-std::size_t apply_baseline(const std::set<std::string>& baseline,
-                           std::vector<Finding>& findings);
 
 }  // namespace mosaiq::lint

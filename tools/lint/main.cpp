@@ -1,29 +1,23 @@
 // mosaiq-lint CLI.
 //
-//   mosaiq-lint [--json|--sarif] [--rules a,b] [--list-rules]
-//               [--baseline FILE] [--write-baseline FILE]
-//               [--cache FILE] [--stats] [--fix] [--threads N]
+//   mosaiq-lint [--json|--sarif] [--rules a,b] [--list-rules] [--fix]
 //               <file|dir>...
 //
-// All named files are analyzed as one program: annotations and symbol
-// tables from headers inform findings in the .cpp files that use them.
-// --fix applies each finding's machine repair in place; --threads N
-// parallelizes the analyze and rule phases with identical output.
+// All named files are analyzed as one program (analyze_program):
+// annotations and symbol tables from headers inform findings in the
+// .cpp files that use them.  --fix applies each finding's machine
+// repair in place.
 //
 // Exit codes: 0 clean, 1 unsuppressed findings, 2 usage or I/O error.
 // Under --fix, exit 0 also covers "every finding carried a fix and all
 // were applied"; unfixable findings still exit 1.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "lint/driver.hpp"
 #include "lint/fix.hpp"
 #include "lint/lint.hpp"
 
@@ -31,9 +25,7 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mosaiq-lint [--json|--sarif] [--rules a,b] [--list-rules]\n"
-               "                   [--baseline FILE] [--write-baseline FILE]\n"
-               "                   [--cache FILE] [--stats] [--fix] [--threads N]\n"
+               "usage: mosaiq-lint [--json|--sarif] [--rules a,b] [--list-rules] [--fix]\n"
                "                   <file|dir>...\n"
                "exit codes: 0 clean (or --fix fixed everything), 1 findings,\n"
                "            2 usage/io error\n");
@@ -57,10 +49,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 int main(int argc, char** argv) {
   using namespace mosaiq::lint;
   enum class Format { Human, Json, Sarif } format = Format::Human;
-  DriverOptions opt;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  bool stats_wanted = false;
+  std::vector<std::string> rules;
   bool fix_wanted = false;
   std::vector<std::string> paths;
 
@@ -77,30 +66,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--rules") {
       const char* v = take_value(i);
       if (!v) return usage();
-      opt.rules = split_csv(v);
-    } else if (arg == "--baseline") {
-      const char* v = take_value(i);
-      if (!v) return usage();
-      baseline_path = v;
-    } else if (arg == "--write-baseline") {
-      const char* v = take_value(i);
-      if (!v) return usage();
-      write_baseline_path = v;
-    } else if (arg == "--cache") {
-      const char* v = take_value(i);
-      if (!v) return usage();
-      opt.cache_path = v;
-    } else if (arg == "--stats") {
-      stats_wanted = true;
+      rules = split_csv(v);
     } else if (arg == "--fix") {
       fix_wanted = true;
-    } else if (arg == "--threads") {
-      const char* v = take_value(i);
-      if (!v) return usage();
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (!end || *end != '\0' || n == 0 || n > 256) return usage();
-      opt.threads = static_cast<std::size_t>(n);
     } else if (arg == "--list-rules") {
       for (const Rule& r : registry())
         std::printf("%-18s %s\n", r.name.c_str(), r.description.c_str());
@@ -116,7 +84,7 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) return usage();
 
-  for (const std::string& r : opt.rules) {
+  for (const std::string& r : rules) {
     const auto& reg = registry();
     const bool known =
         std::any_of(reg.begin(), reg.end(), [&](const Rule& x) { return x.name == r; });
@@ -126,37 +94,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<std::string> files;
   std::vector<Finding> findings;
-  DriverStats stats;
   try {
-    findings = run_driver(collect_sources(paths), opt, &stats);
+    files = collect_sources(paths);
+    findings = analyze_program(files, rules);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mosaiq-lint: %s\n", e.what());
     return 2;
-  }
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "mosaiq-lint: cannot write %s\n", write_baseline_path.c_str());
-      return 2;
-    }
-    out << format_baseline(findings);
-    std::fprintf(stderr, "mosaiq-lint: wrote %zu baseline key(s) to %s\n", findings.size(),
-                 write_baseline_path.c_str());
-    return 0;
-  }
-
-  std::size_t suppressed = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "mosaiq-lint: cannot read baseline %s\n", baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    suppressed = apply_baseline(parse_baseline(ss.str()), findings);
   }
 
   if (fix_wanted) {
@@ -187,14 +132,8 @@ int main(int argc, char** argv) {
     case Format::Human:
       std::cout << format_human(findings);
       std::fprintf(stderr, "mosaiq-lint: %zu finding(s) across %zu file(s)\n",
-                   findings.size(), stats.files);
+                   findings.size(), files.size());
       break;
-  }
-  if (stats_wanted) {
-    std::fprintf(stderr,
-                 "mosaiq-lint: stats: files=%zu cache_hits=%zu cache_misses=%zu "
-                 "baseline_suppressed=%zu\n",
-                 stats.files, stats.cache_hits, stats.cache_misses, suppressed);
   }
   return findings.empty() ? 0 : 1;
 }
